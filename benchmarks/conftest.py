@@ -1,0 +1,7 @@
+"""Benchmark tests import viewrank from this checkout and the benchmark's modules."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
