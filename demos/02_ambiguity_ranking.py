@@ -15,7 +15,7 @@ grid = so3.build_view_grid(1024, 12)
 cb_b = build_codebook(b, grid)
 coarse = so3.build_view_grid(256, 1)
 
-table = ambiguity.rank_object(a, [b], [cb_b], coarse, descent_steps=16, threads=4)
+table = ambiguity.rank_object(a, [b], [cb_b], coarse, descent_steps=16)
 
 print(f"ranked {len(table)} orientations of {table.object_class} against {a.group_id}")
 print("most ambiguous (twin imitates perfectly):")

@@ -12,8 +12,8 @@ grid = so3.build_view_grid(1024, 12)
 codebooks = {"A": build_codebook(a, grid), "B": build_codebook(b, grid)}
 coarse = so3.build_view_grid(256, 1)
 tables = [
-    ambiguity.rank_object(a, [b], [codebooks["B"]], coarse, 16, threads=4),
-    ambiguity.rank_object(b, [a], [codebooks["A"]], coarse, 16, threads=4),
+    ambiguity.rank_object(a, [b], [codebooks["B"]], coarse, 16),
+    ambiguity.rank_object(b, [a], [codebooks["A"]], coarse, 16),
 ]
 
 sigma = classify.default_noise_sigma(a, 0.5)

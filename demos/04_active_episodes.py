@@ -12,8 +12,8 @@ grid = so3.build_view_grid(1024, 12)
 codebooks = [build_codebook(a, grid), build_codebook(b, grid)]
 coarse = so3.build_view_grid(256, 1)
 tables = {
-    "A": ambiguity.rank_object(a, [b], [codebooks[1]], coarse, 16, threads=4),
-    "B": ambiguity.rank_object(b, [a], [codebooks[0]], coarse, 16, threads=4),
+    "A": ambiguity.rank_object(a, [b], [codebooks[1]], coarse, 16),
+    "B": ambiguity.rank_object(b, [a], [codebooks[0]], coarse, 16),
 }
 
 sigma = classify.default_noise_sigma(a, 0.05)

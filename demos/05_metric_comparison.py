@@ -12,7 +12,7 @@ a, b = synthworld.make_ambiguous_pair(seed=0)
 grid = so3.build_view_grid(1024, 12)
 cb_b = build_codebook(b, grid)
 coarse = so3.build_view_grid(256, 1)
-table = ambiguity.rank_object(a, [b], [cb_b], coarse, 16, threads=4)
+table = ambiguity.rank_object(a, [b], [cb_b], coarse, 16)
 
 report = metric_comparison(table, a, {"B": b})
 print("rank correlation against the primary similarity:")

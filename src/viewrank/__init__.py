@@ -42,7 +42,6 @@ from .codebook import (
     roll_aligned_cossim,
     estimate_pose,
     hypotheses_for_group,
-    identify_group,
 )
 from .policy import (
     EpisodeResult,
@@ -51,7 +50,6 @@ from .policy import (
     TrajectoryGrid,
     build_sphere_reachable,
     build_trajectory_reachable,
-    expected_ambiguity,
     next_best_view,
     run_episode,
     run_experiment,
@@ -62,13 +60,10 @@ from .so3 import (
     ViewGrid,
     build_view_grid,
     fibonacci_directions,
-    from_euler,
     geodesic_distance,
     look_at,
-    to_euler,
 )
 from .synthworld import (
-    Blob,
     SynthObject,
     make_ambiguous_pair,
     patch_visible,

@@ -15,14 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import so3
-from .codebook import Codebook
-from .so3 import Rotation, ViewGrid, rotation_from_json
+from .codebook import Codebook, roll_components
+from .so3 import Rotation, ViewGrid
 from .synthworld import SynthObject, render_embeddings
 
 DEFAULT_DESCENT_STEPS = 32
@@ -111,8 +110,8 @@ class AmbiguityTable:
         pairs = tuple(
             MatchedPair(
                 similarity=float(p["similarity"]),
-                r_a=rotation_from_json(p["r_a"]),
-                r_b=rotation_from_json(p["r_b"]),
+                r_a=Rotation.from_quat(p["r_a"]),
+                r_b=Rotation.from_quat(p["r_b"]),
                 matched_class=p["matched_class"],
             )
             for p in data["pairs"]
@@ -148,12 +147,11 @@ def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
 
     The embedding at a fixed direction is ``M(roll) @ s`` for the direction's
     weighted descriptor sum ``s``, so the similarity maximized over roll is
-    ``hypot(C, S) / |s|`` with ``C, S`` the paired-component projections of
-    the query; the argmax roll is ``atan2(S, C)``.  Returns ``(sim, roll)``.
+    ``hypot(C, S) / |s|`` with ``C, S = roll_components(z_unit, s)``; the
+    argmax roll is ``atan2(S, C)``.  Returns ``(sim, roll)``.
     """
     positions = target.positions
     descriptors = target.descriptors
-    ae, ao = z_unit[0::2], z_unit[1::2]
 
     def sim(theta: float, phi: float):
         st = math.sin(theta)
@@ -163,9 +161,7 @@ def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
         n = float(np.linalg.norm(s))
         if n == 0.0:
             return -1.0, 0.0
-        se, so = s[0::2], s[1::2]
-        c = float(ae @ se + ao @ so)
-        sn = float(ao @ se - ae @ so)
+        c, sn = roll_components(z_unit, s)
         return math.hypot(c, sn) / n, math.atan2(sn, c)
 
     return sim
@@ -289,7 +285,9 @@ def rank_object(
     ``others`` and ``codebooks`` are parallel lists.  For every coarse-grid
     orientation the raw value is the max over other objects of
     ``most_similar_view``; the table is sorted by similarity descending and
-    carries the normalized ambiguity.
+    carries the normalized ambiguity.  Views are ranked one after another;
+    ``threads`` is accepted for compatibility and changes neither speed nor
+    output.
     """
     if len(others) < 1:
         raise ValueError("need at least one other object in the group")
@@ -311,12 +309,7 @@ def rank_object(
         s, r_b, cls = best
         return MatchedPair(s, coarse_grid.rotations[idx], r_b, cls)
 
-    indices = range(len(coarse_grid))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            matched = list(pool.map(rank_one, indices))
-    else:
-        matched = [rank_one(i) for i in indices]
+    matched = [rank_one(i) for i in range(len(coarse_grid))]
 
     raw = np.array([p.similarity for p in matched])
     order = np.argsort(-raw, kind="stable")

@@ -7,8 +7,9 @@ asserted: with the synthetic embedding world there is no reason to expect the
 real-image behaviour of pixel or keypoint metrics.
 
 Tie convention: a constant series has correlation 0 (scipy returns NaN there).
-Plot scaling: each metric is min-max mapped onto [0, 1] over its pair range;
-a constant metric scales to all zeros.
+Plot scaling: each metric is min-max mapped onto [0, 1] over its pair range
+by ``normalize_ambiguity``; a metric whose range is at most 1e-12 scales to
+all zeros.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .ambiguity import AmbiguityTable
+from .ambiguity import AmbiguityTable, normalize_ambiguity
 from .codebook import cossim
 from .so3 import Rotation
-from .synthworld import SynthObject, differing_blobs, render_embedding
+from .synthworld import SynthObject, render_embedding
 
 DEFAULT_MATCH_TOLERANCE = 1e-6
 
@@ -70,15 +71,6 @@ def _correlation(values: np.ndarray, baseline: np.ndarray):
     return sp, pe
 
 
-def scaled(values: np.ndarray) -> np.ndarray:
-    """Affine min-max map onto [0, 1]; constant input maps to zeros."""
-    v = np.asarray(values, dtype=float)
-    span = np.ptp(v)
-    if span == 0.0:
-        return np.zeros_like(v)
-    return (v - np.min(v)) / span
-
-
 @dataclass(frozen=True)
 class MetricReport:
     metric_names: tuple
@@ -90,7 +82,7 @@ class MetricReport:
         return len(next(iter(self.values.values())))
 
     def scaled_values(self, name: str) -> np.ndarray:
-        return scaled(self.values[name])
+        return normalize_ambiguity(self.values[name])
 
     def save_metric_csv(self, name: str, path) -> None:
         sv = self.scaled_values(name)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeding
-from .ambiguity import AmbiguityTable, split_by_threshold
+from .ambiguity import split_by_threshold
+from .codebook import roll_components
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -47,9 +48,9 @@ class CentroidClassifier:
 class SweepRow:
     train_threshold: float
     eval_ambiguity_cap: float
-    accuracy: float  # nan when training was impossible
+    accuracy: float  # nan when training or evaluation was impossible
     n_samples: int
-    status: str  # "ok" or "empty_train"
+    status: str  # "ok", "empty_train" or "empty_eval"
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ class SweepResult:
 
 def _noisy_renders(obj: SynthObject, rotations, noise_sigma: float, gen: np.random.Generator,
                    samples_per_rotation: int = 1) -> np.ndarray:
+    if noise_sigma < 0.0:
+        raise ValueError("noise_sigma must be >= 0")
     quats = np.array([r.q for r in rotations for _ in range(samples_per_rotation)])
     z = render_embeddings(obj, quats)
     if noise_sigma > 0.0:
@@ -110,14 +113,6 @@ def train(
     return CentroidClassifier(tuple(classes), np.array(centroids), float(threshold), float(noise_sigma))
 
 
-def _roll_aligned_sims(centroids: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Roll-aligned cosine similarity of unit rows against unit centroids, (N, C)."""
-    ce, co = centroids[:, 0::2], centroids[:, 1::2]
-    c = units[:, 0::2] @ ce.T + units[:, 1::2] @ co.T
-    s = units[:, 0::2] @ co.T - units[:, 1::2] @ ce.T
-    return np.hypot(c, s)
-
-
 def predict(clf: CentroidClassifier, z: np.ndarray):
     """Class of the nearest centroid by roll-aligned cosine similarity.
 
@@ -130,7 +125,7 @@ def predict(clf: CentroidClassifier, z: np.ndarray):
     n = float(np.linalg.norm(z))
     if n == 0.0:
         raise ValueError("cannot classify a zero-norm embedding")
-    s = _roll_aligned_sims(clf.centroids, (z / n)[None, :])[0]
+    s = np.hypot(*roll_components(z / n, clf.centroids))
     order = np.argsort(-s, kind="stable")
     best = int(order[0])
     margin = float(s[best] - s[int(order[1])]) if len(s) > 1 else math.inf
@@ -153,7 +148,7 @@ def evaluate_on_rotations(
             continue
         idx = gen.integers(0, len(rotations), size=n_samples)
         z = _noisy_renders(obj, [rotations[i] for i in idx], noise_sigma, gen)
-        s = _roll_aligned_sims(clf.centroids, z / np.linalg.norm(z, axis=1, keepdims=True))
+        s = np.hypot(*roll_components(z / np.linalg.norm(z, axis=1, keepdims=True), clf.centroids))
         pred = np.argmax(s, axis=1)
         true_ci = clf.classes.index(obj.class_id)
         correct += int(np.sum(pred == true_ci))
@@ -180,9 +175,10 @@ def threshold_sweep(
     Each trial draws ``train_rotations_per_class`` orientations (with
     replacement) from every class's train split, so trials model independent
     finite training sets; pass ``None`` to train on the full split instead.
-    Thresholds may include the degenerate 0.0; cells whose training set is
-    empty are emitted with status ``empty_train`` and NaN accuracy instead of
-    failing the whole sweep.
+    Thresholds and caps may include the degenerate 0.0; cells whose training
+    set is empty are emitted with status ``empty_train``, and cells where no
+    class has an orientation below the cap with status ``empty_eval``, both
+    with NaN accuracy instead of failing the whole sweep.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -221,6 +217,9 @@ def threshold_sweep(
             eval_rot = [
                 [p.r_a for p, v in zip(tab.pairs, tab.ambiguity) if v < cap] for tab in tables
             ]
+            if not any(eval_rot):
+                rows.append(SweepRow(float(threshold), float(cap), math.nan, 0, "empty_eval"))
+                continue
             accs = []
             for trial, clf in enumerate(classifiers):
                 gen = seeding.rng(seed, "sweep-eval", ti, cap_i, trial)

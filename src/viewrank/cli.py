@@ -8,8 +8,9 @@ Subcommands::
     viewrank compare   metric correlations + noise-robustness CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.
-All randomness derives from the manifest seed; reruns are byte-identical,
-including under different ``--threads`` values.
+All randomness derives from the manifest seed; reruns are byte-identical.
+``--threads`` is accepted (and must be >= 1) but changes neither speed nor
+output.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import json
 import logging
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import ambiguity, baselines, classify, manifest, policy, seeding, so3
 from .codebook import build_codebook
@@ -44,7 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", type=Path, default=None, help="manifest JSON (defaults apply)")
         p.add_argument("--out", type=Path, default=Path("viewrank-out"), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; ranking is serial (no effect)")
         p.add_argument("--verbose", action="store_true")
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation, ViewGrid, rotation_from_json
+from .so3 import Rotation, ViewGrid
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -30,13 +30,26 @@ def cossim(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
 
 
+def roll_components(a: np.ndarray, b: np.ndarray):
+    """Paired-component projections ``(C, S)`` of ``a`` against ``b``.
+
+    Over consecutive (even, odd) component pairs of the trailing axis,
+    ``C = sum(a_e b_e + a_o b_o)`` and ``S = sum(a_o b_e - a_e b_o)``; the
+    roll that best aligns ``b`` onto ``a`` is ``atan2(S, C)`` and the aligned
+    dot product is ``hypot(C, S)``.  ``(d,)`` inputs give scalars, ``(N, d)``
+    against ``(M, d)`` gives ``(N, M)`` arrays.
+    """
+    ae, ao = a[..., 0::2], a[..., 1::2]
+    be, bo = b[..., 0::2], b[..., 1::2]
+    return ae @ be.T + ao @ bo.T, ao @ be.T - ae @ bo.T
+
+
 def roll_aligned_cossim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity maximized over a shared in-plane roll, in closed form.
 
     Embeddings are roll-equivariant through the 2x2 pair-mixing matrix, so
-    max_delta cossim(a, M(delta) b) = hypot(C, S) / (|a| |b|) with
-    C = sum(a_e b_e + a_o b_o) and S = sum(a_o b_e - a_e b_o) over consecutive
-    (even, odd) component pairs.
+    max_delta cossim(a, M(delta) b) = hypot(C, S) / (|a| |b|) with ``C, S``
+    from ``roll_components``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -48,10 +61,7 @@ def roll_aligned_cossim(a: np.ndarray, b: np.ndarray) -> float:
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine similarity of a zero-norm embedding is undefined")
-    ae, ao = a[0::2], a[1::2]
-    be, bo = b[0::2], b[1::2]
-    c = float(ae @ be + ao @ bo)
-    s = float(ao @ be - ae @ bo)
+    c, s = roll_components(a, b)
     return float(np.clip(math.hypot(c, s) / (na * nb), -1.0, 1.0))
 
 
@@ -105,7 +115,7 @@ class Codebook:
     @classmethod
     def from_json(cls, data: dict) -> "Codebook":
         return cls(
-            rotations=tuple(rotation_from_json(q) for q in data["rotations"]),
+            rotations=tuple(Rotation.from_quat(q) for q in data["rotations"]),
             embeddings=np.array(data["embeddings"], dtype=float),
             class_id=data["class_id"],
             group_id=data["group_id"],
@@ -158,16 +168,3 @@ def hypotheses_for_group(codebooks, z: np.ndarray, k: int = 1) -> list:
     hyps.sort(key=lambda t: t[0])
     return [h for _, h in hyps]
 
-
-def identify_group(codebooks, z: np.ndarray) -> str:
-    """Group of the codebook holding the globally best-scoring entry."""
-    if not codebooks:
-        raise ValueError("need at least one codebook")
-    best_group = None
-    best_score = -np.inf
-    for cb in codebooks:
-        s = float(np.max(cb.scores(z)))
-        if s > best_score:
-            best_score = s
-            best_group = cb.group_id
-    return best_group

@@ -144,6 +144,9 @@ def resolve(data: dict | None) -> dict:
         raise ManifestError("policy.reachable.kind: must be 'trajectory' or 'sphere'")
     if len(resolved["world"]["patch_center"]) != 3:
         raise ManifestError("world.patch_center: expected 3 components")
+    for section in ("sweep", "policy"):
+        if not resolved[section]["noise_factor"] >= 0:
+            raise ManifestError(f"{section}.noise_factor: must be >= 0")
     return resolved
 
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import seeding, so3
-from .ambiguity import AmbiguityTable
 from .classify import CentroidClassifier, predict
-from .codebook import PoseHypothesis, hypotheses_for_group
-from .so3 import Rotation, rotation_from_json
-from .synthworld import SynthObject, render_embedding
+from .codebook import hypotheses_for_group
+from .so3 import Rotation
+from .synthworld import render_embedding
 
 TERMINATED_BELOW_THRESHOLD = "below_threshold"
 TERMINATED_LOCAL_OPTIMUM = "local_optimum"
@@ -102,23 +101,9 @@ def build_sphere_reachable(n_dirs: int) -> ReachableSet:
     return ReachableSet(grid.rotations, {"kind": "sphere", "n_dirs": n_dirs})
 
 
-def expected_ambiguity(r_next: Rotation, hypotheses, tables) -> float:
-    """Mean table ambiguity of the views expected at ``r_next``.
-
-    Each hypothesis rotation is the (world-frame) object orientation for its
-    class; the lookup key is the relative orientation ``r_next^T @ r_hyp``.
-    """
-    if not hypotheses:
-        raise ValueError("need at least one hypothesis")
-    inv = r_next.inverse()
-    total = 0.0
-    for h in hypotheses:
-        total += tables[h.class_id].lookup(inv @ h.rotation)
-    return total / len(hypotheses)
-
-
 def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:
-    """Reachable orientation minimizing expected ambiguity; ties by lowest index."""
+    """Reachable orientation ``r`` minimizing the mean table ambiguity of the
+    hypotheses seen from it (lookup key ``r^-1 @ r_hyp``); ties by lowest index."""
     return reachable.rotations[_next_best_index(hypotheses, tables, reachable)]
 
 
@@ -165,8 +150,8 @@ class EpisodeResult:
     @classmethod
     def from_json(cls, data: dict) -> "EpisodeResult":
         return cls(
-            start=rotation_from_json(data["start"]),
-            visited=tuple(rotation_from_json(q) for q in data["visited"]),
+            start=Rotation.from_quat(data["start"]),
+            visited=tuple(Rotation.from_quat(q) for q in data["visited"]),
             ambiguities=tuple(data["ambiguities"]),
             predictions=tuple(data["predictions"]),
             moves_used=data["moves_used"],

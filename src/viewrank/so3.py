@@ -8,7 +8,6 @@ Conventions used throughout the package:
 - The canonical camera view axis is ``+z``.  A view rotation maps ``+z``
   to the direction from the object center toward the camera; the residual
   rotation about that axis is the in-plane roll.
-- Euler angles are intrinsic Z-Y-X: ``R = Rz(alpha) @ Ry(beta) @ Rx(gamma)``.
 """
 
 from __future__ import annotations
@@ -215,46 +214,6 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     # 4*asin(|qa - qb|/2) is accurate near zero where acos of the dot is not.
     half_chord = 0.5 * math.sqrt(float((qa - qb) @ (qa - qb)))
     return 4.0 * math.asin(max(-1.0, min(1.0, half_chord)))
-
-
-def from_euler(alpha: float, beta: float, gamma: float) -> Rotation:
-    """Intrinsic Z-Y-X Euler angles to a rotation."""
-    ca, sa = math.cos(alpha / 2.0), math.sin(alpha / 2.0)
-    cb, sb = math.cos(beta / 2.0), math.sin(beta / 2.0)
-    cg, sg = math.cos(gamma / 2.0), math.sin(gamma / 2.0)
-    # qz(alpha) * qy(beta) * qx(gamma), expanded.
-    w = ca * cb * cg + sa * sb * sg
-    x = ca * cb * sg - sa * sb * cg
-    y = ca * sb * cg + sa * cb * sg
-    z = sa * cb * cg - ca * sb * sg
-    return Rotation(w, x, y, z)
-
-
-def to_euler(r: Rotation) -> tuple:
-    """Rotation to intrinsic Z-Y-X Euler angles.
-
-    At gimbal lock (|beta| = pi/2) the decomposition is not unique; the
-    canonical representative with gamma = 0 is returned.
-    """
-    m = r.to_matrix()
-    sb = -m[2, 0]
-    if abs(sb) < 1.0 - 1e-10:
-        beta = math.asin(max(-1.0, min(1.0, sb)))
-        alpha = math.atan2(m[1, 0], m[0, 0])
-        gamma = math.atan2(m[2, 1], m[2, 2])
-    else:
-        beta = math.copysign(math.pi / 2.0, sb)
-        alpha = math.atan2(-m[0, 1], m[1, 1])
-        gamma = 0.0
-    return (alpha, beta, gamma)
-
-
-def rotation_to_json(r: Rotation) -> list:
-    return r.to_json()
-
-
-def rotation_from_json(data) -> Rotation:
-    return Rotation.from_quat(data)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,6 @@ DEFAULT_PATCH_RADIUS = math.pi / 3.0
 
 
 @dataclass(frozen=True)
-class Blob:
-    position: np.ndarray
-    descriptor: np.ndarray
-
-
-@dataclass(frozen=True)
 class SynthObject:
     """Immutable blob cloud with class/group labels.
 
@@ -72,10 +66,6 @@ class SynthObject:
     @property
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1]
-
-    @property
-    def blobs(self) -> list:
-        return [Blob(p, d) for p, d in zip(self.positions, self.descriptors)]
 
     def to_json(self) -> dict:
         return {

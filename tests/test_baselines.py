@@ -8,14 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from viewrank import so3, synthworld
-from viewrank.ambiguity import AmbiguityTable
+from viewrank.ambiguity import AmbiguityTable, normalize_ambiguity
 from viewrank.baselines import (
     METRIC_NAMES,
+    MetricReport,
     blob_match_similarity,
     metric_comparison,
     mse_similarity,
     noise_robustness_sweep,
-    scaled,
 )
 
 
@@ -84,6 +84,11 @@ class TestBlobMatchSimilarity:
             blob_match_similarity(a, r, small, r)
 
 
+def scaled(values):
+    """MetricReport.scaled_values of a single metric, which uses normalize_ambiguity."""
+    return MetricReport(("m",), {"m": np.asarray(values, dtype=float)}, {}, {}).scaled_values("m")
+
+
 class TestScaled:
     def test_example(self):
         assert np.allclose(scaled([2.0, 4.0, 6.0]), [0.0, 0.5, 1.0])
@@ -91,10 +96,17 @@ class TestScaled:
     def test_constant_maps_to_zero(self):
         assert np.array_equal(scaled([3.0, 3.0]), np.zeros(2))
 
+    def test_is_normalize_ambiguity(self):
+        # One normalizer: a range at or below 1e-12 counts as constant.
+        values = [0.5, 0.5 + 1e-13, 0.5 + 5e-13]
+        assert np.array_equal(scaled(values), normalize_ambiguity(values))
+        assert np.array_equal(scaled(values), np.zeros(3))
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
     def test_range(self, values):
         out = scaled(values)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        assert np.array_equal(out, normalize_ambiguity(values))
 
 
 class TestMetricComparison:

@@ -66,6 +66,13 @@ class TestTrain:
         assert exc.value.class_id == "A"
         assert exc.value.threshold == 0.0
 
+    def test_negative_noise_rejected(self, pair, splits):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            train(list(pair), splits, noise_sigma=-0.1)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            classify._noisy_renders(pair[0], [so3.Rotation.identity()], -1e-9,
+                                    np.random.default_rng(0))
+
     def test_validation(self, pair, splits):
         with pytest.raises(ValueError):
             train(list(pair), splits, samples_per_rotation=0)
@@ -181,6 +188,25 @@ class TestThresholdSweep:
                 assert 0.0 <= r.accuracy <= 1.0
                 assert r.n_samples == 40 * 2 * 4
 
+    def test_empty_eval_rows(self, pair, tables):
+        # No orientation has ambiguity below 0, so cap 0.0 leaves every
+        # evaluation split empty; empty_train still wins at threshold 0.0.
+        result = threshold_sweep(
+            list(pair), [tables["A"], tables["B"]], thresholds=[0.0, 0.5], caps=[0.0, 1.0],
+            trials=2, eval_samples=10, noise_sigma=0.0, seed=0,
+        )
+        by_cell = {(r.train_threshold, r.eval_ambiguity_cap): r for r in result.rows}
+        assert by_cell[(0.0, 0.0)].status == by_cell[(0.0, 1.0)].status == "empty_train"
+        empty = by_cell[(0.5, 0.0)]
+        assert empty.status == "empty_eval"
+        assert math.isnan(empty.accuracy) and empty.n_samples == 0
+        assert by_cell[(0.5, 1.0)].status == "ok"
+
+    def test_evaluate_without_rotations_raises(self, pair, clf):
+        with pytest.raises(ValueError, match="no evaluation rotations"):
+            classify.evaluate_on_rotations(clf, list(pair), [[], []], 10, 0.0,
+                                           np.random.default_rng(0))
+
     def test_capping_evaluation_helps(self, sweep):
         # Restricting evaluation to low-ambiguity views should never hurt
         # much; at matched thresholds the capped cell outperforms the
@@ -226,7 +252,7 @@ class TestThresholdSweep:
         for raw, r in zip(rows[1:], sweep.rows):
             assert float(raw[0]) == r.train_threshold
             assert float(raw[1]) == r.eval_ambiguity_cap
-            if r.status == "empty_train":
+            if r.status in ("empty_train", "empty_eval"):
                 assert raw[2] == ""
             else:
                 assert float(raw[2]) == pytest.approx(r.accuracy, abs=1e-15)

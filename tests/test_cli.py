@@ -113,6 +113,19 @@ class TestSweep:
             assert row[4] == "ok"
             assert 0.0 <= float(row[2]) <= 1.0
 
+    def test_empty_eval_cap(self, tmp_path):
+        m = json.loads(json.dumps(SMALL_MANIFEST))
+        m["sweep"]["caps"] = [0.0]
+        path = tmp_path / "caps0.json"
+        path.write_text(json.dumps(m))
+        out = tmp_path / "out"
+        assert run(path, out, "sweep") == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 1 + 2
+        for row in rows[1:]:
+            assert row[1:] == ["0", "", "0", "empty_eval"]
+
 
 class TestSimulate:
     def test_outputs(self, tmp_path, manifest_path):
@@ -160,6 +173,14 @@ class TestErrors:
         bad.write_text(json.dumps({"world": {"seed_offset": 1}}))
         out = tmp_path / "out"
         assert run(bad, out, "rank") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, command", [("sweep", "sweep"), ("policy", "simulate")])
+    def test_negative_noise_factor_exits_2(self, tmp_path, section, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"noise_factor": -0.5}}))
+        out = tmp_path / "out"
+        assert run(bad, out, command) == 2
         assert not out.exists()
 
     def test_missing_manifest_exits_2(self, tmp_path):

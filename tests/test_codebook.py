@@ -1,4 +1,4 @@
-"""Codebook construction, cosine queries, and pose/group estimation."""
+"""Codebook construction, cosine queries, the roll kernel, and pose estimation."""
 
 import json
 import math
@@ -16,8 +16,8 @@ from viewrank.codebook import (
     cossim,
     estimate_pose,
     hypotheses_for_group,
-    identify_group,
     roll_aligned_cossim,
+    roll_components,
 )
 
 
@@ -96,6 +96,63 @@ class TestRollAlignedCossim:
         for _ in range(20):
             a = rng.normal(size=10)
             assert roll_aligned_cossim(a, a) == pytest.approx(1.0, abs=1e-12)
+
+
+even_dims = st.integers(1, 6).map(lambda k: 2 * k)
+
+
+@st.composite
+def row_stacks(draw):
+    """Two (n, d) and (m, d) float stacks sharing an even trailing dimension."""
+    d = draw(even_dims)
+    entries = st.floats(-10, 10, allow_nan=False)
+    a = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=5))
+    b = draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=1, max_size=5))
+    return np.array(a), np.array(b)
+
+
+class TestRollComponents:
+    @given(row_stacks())
+    @settings(max_examples=200)
+    def test_stack_entries_match_vector_form(self, stacks):
+        # Stacked (matrix) and vector (dot) products may sum in different
+        # orders, so entries agree to the dot-product rounding bound
+        # 2 d eps sum|x_k y_k| over the products each sum adds, not bit for bit.
+        a, b = stacks
+        c, s = roll_components(a, b)
+        assert c.shape == s.shape == (len(a), len(b))
+        scale = 2 * a.shape[1] * np.finfo(float).eps
+        for i in range(len(a)):
+            for j in range(len(b)):
+                ci, si = roll_components(a[i], b[j])
+                assert np.ndim(ci) == np.ndim(si) == 0
+                ae, ao = np.abs(a[i, 0::2]), np.abs(a[i, 1::2])
+                be, bo = np.abs(b[j, 0::2]), np.abs(b[j, 1::2])
+                assert abs(c[i, j] - ci) <= scale * (ae @ be + ao @ bo)
+                assert abs(s[i, j] - si) <= scale * (ao @ be + ae @ bo)
+
+    @given(row_stacks())
+    @settings(max_examples=200)
+    def test_hypot_matches_roll_aligned_cossim(self, stacks):
+        a, b = stacks
+        for x in a:
+            for y in b:
+                nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+                if nx == 0.0 or ny == 0.0:
+                    continue
+                c, s = roll_components(x, y)
+                assert math.hypot(c, s) / (nx * ny) == pytest.approx(
+                    roll_aligned_cossim(x, y), abs=1e-12)
+
+    def test_roll_is_atan2(self):
+        # a is b rolled by delta through the renderer's pair mixing, so the
+        # roll aligning b onto a, atan2(S, C), is delta (mod 2 pi).
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=8)
+        for delta in (0.0, 0.4, -1.3, 2.9):
+            a = synthworld._mix_pairs(b[None, :], np.array([delta]))[0]
+            c, s = roll_components(a, b)
+            assert math.cos(math.atan2(s, c) - delta) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBuildCodebook:
@@ -209,22 +266,6 @@ class TestGroupQueries:
             hypotheses_for_group(codebooks, np.ones(codebooks[0].embeddings.shape[1]), k=0)
         with pytest.raises(ValueError):
             hypotheses_for_group([], np.ones(4))
-
-    def test_identify_group(self, pair, codebooks):
-        a, _ = pair
-        z = synthworld.render_embedding(a, so3.look_at([0.0, 0.0, 1.0]))
-        assert identify_group(codebooks, z) == "pair-0"
-        with pytest.raises(ValueError):
-            identify_group([], z)
-
-    def test_identify_group_picks_best(self, pair, codebook_grid):
-        # Against an unrelated pair's codebook, the true group wins on a
-        # clean rendering of the true object.
-        a, _ = pair
-        other_a, _ = synthworld.make_ambiguous_pair(99, group_id="pair-99")
-        cbs = [build_codebook(a, codebook_grid), build_codebook(other_a, codebook_grid)]
-        z = synthworld.render_embedding(a, codebook_grid.rotations[50])
-        assert identify_group(cbs, z) == "pair-0"
 
 
 class TestCodebookJson:

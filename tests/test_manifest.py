@@ -60,6 +60,14 @@ class TestResolve:
         with pytest.raises(ManifestError):
             resolve({"world": {"patch_center": [1.0, 0.0]}})
 
+    def test_negative_noise_factor_rejected(self):
+        for section in ("sweep", "policy"):
+            with pytest.raises(ManifestError, match=f"{section}.noise_factor"):
+                resolve({section: {"noise_factor": -0.1}})
+            with pytest.raises(ManifestError, match=f"{section}.noise_factor"):
+                resolve({section: {"noise_factor": float("nan")}})
+            assert resolve({section: {"noise_factor": 0}})[section]["noise_factor"] == 0
+
 
 class TestLoadSave:
     def test_roundtrip(self, tmp_path):

@@ -14,12 +14,21 @@ from viewrank.policy import (
     TrajectoryGrid,
     build_sphere_reachable,
     build_trajectory_reachable,
-    expected_ambiguity,
     next_best_view,
     run_episode,
     run_experiment,
     success_within_budget,
 )
+
+
+def expected_ambiguity(r_next, hypotheses, tables) -> float:
+    """Scalar oracle for next_best_view: mean table ambiguity seen from ``r_next``.
+
+    Each hypothesis rotation is the (world-frame) object orientation for its
+    class; the lookup key is the relative orientation ``r_next^T @ r_hyp``.
+    """
+    inv = r_next.inverse()
+    return sum(tables[h.class_id].lookup(inv @ h.rotation) for h in hypotheses) / len(hypotheses)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +119,7 @@ class TestExpectedAmbiguity:
 
     def test_requires_hypotheses(self, tables, reachable):
         with pytest.raises(ValueError):
-            expected_ambiguity(reachable.rotations[0], [], tables)
+            next_best_view([], tables, reachable)
 
 
 class TestNextBestView:

@@ -1,4 +1,4 @@
-"""Rotation arithmetic, Fibonacci view grids, distances, Euler conversions."""
+"""Rotation arithmetic, Fibonacci view grids and distances."""
 
 import math
 
@@ -14,10 +14,8 @@ from viewrank.so3 import (
     SphericalDirection,
     build_view_grid,
     fibonacci_directions,
-    from_euler,
     geodesic_distance,
     look_at,
-    to_euler,
 )
 
 
@@ -86,7 +84,7 @@ class TestRotation:
 
     def test_json_roundtrip(self):
         r = Rotation(0.3, -0.7, 0.1, 0.64)
-        assert so3.rotation_from_json(r.to_json()) == r
+        assert Rotation.from_quat(r.to_json()) == r
 
     def test_json_w_nonnegative(self):
         assert Rotation(-0.3, 0.7, -0.1, 0.64).to_json()[0] >= 0.0
@@ -233,44 +231,6 @@ class TestGeodesicDistance:
     @settings(max_examples=50)
     def test_composition_associativity(self, a, b, c):
         assert geodesic_distance((a @ b) @ c, a @ (b @ c)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Euler conversions
-
-
-class TestEuler:
-    def test_identity(self):
-        assert from_euler(0.0, 0.0, 0.0) == Rotation.identity()
-
-    def test_matches_scipy_convention(self):
-        r = from_euler(0.3, -0.8, 1.7)
-        expected = ScipyRotation.from_euler("ZYX", [0.3, -0.8, 1.7]).as_matrix()
-        assert np.allclose(r.to_matrix(), expected, atol=1e-9)
-
-    def test_roundtrip_random_rotations(self):
-        rng = np.random.default_rng(42)
-        worst = 0.0
-        for _ in range(1000):
-            r = so3.random_rotation(rng)
-            worst = max(worst, geodesic_distance(from_euler(*to_euler(r)), r))
-        assert worst < 1e-6
-
-    def test_gimbal_lock_roundtrip(self):
-        r = from_euler(0.4, math.pi / 2.0, 0.9)
-        back = from_euler(*to_euler(r))
-        assert geodesic_distance(back, r) < 1e-6
-
-    def test_gimbal_lock_canonical_gamma(self):
-        for beta in (math.pi / 2.0, -math.pi / 2.0):
-            _, _, gamma = to_euler(from_euler(0.4, beta, 0.9))
-            assert gamma == 0.0
-
-    @given(st.floats(-3, 3), st.floats(-1.5, 1.5), st.floats(-3, 3))
-    @settings(max_examples=100)
-    def test_roundtrip_property(self, alpha, beta, gamma):
-        r = from_euler(alpha, beta, gamma)
-        assert geodesic_distance(from_euler(*to_euler(r)), r) < 1e-6
 
 
 # ---------------------------------------------------------------------------
