@@ -156,9 +156,11 @@ def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
     def sim(theta: float, phi: float):
         st = math.sin(theta)
         v = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-        w = np.clip(positions @ v, 0.0, None) ** 2
+        w = positions @ v
+        np.maximum(w, 0.0, out=w)
+        w *= w
         s = w @ descriptors
-        n = float(np.linalg.norm(s))
+        n = math.sqrt(float(s.dot(s)))
         if n == 0.0:
             return -1.0, 0.0
         c, sn = roll_components(z_unit, s)
@@ -181,7 +183,9 @@ def most_similar_view(
     halving each sweep; the in-plane angle is solved in closed form at every
     evaluation.  Each sweep walks along an improving coordinate and finishes
     with a parabolic refinement, so only strict improvements are accepted and
-    the similarity is non-decreasing in ``descent_steps``.
+    the similarity is non-decreasing in ``descent_steps``.  Each distinct
+    ``(theta, phi)`` point is evaluated once per call: a point the walk or the
+    refinement revisits reuses its stored ``(sim, roll)``.
     ``descent_steps = 0`` returns the codebook seed unchanged.
     Returns ``(rotation, similarity)``.
     """
@@ -204,47 +208,45 @@ def most_similar_view(
         initial_step = 2.0 * math.sqrt(4.0 * math.pi / n_dirs)
 
     sim = _direction_evaluator(target, z_unit)
+    seen = {}  # (theta, phi) -> (sim, roll) of every point evaluated so far
+
+    def probe(x, ci, delta):
+        """``x`` moved by ``delta`` along coordinate ``ci``, and its (sim, roll)."""
+        p = (x[0] + delta, x[1]) if ci == 0 else (x[0], x[1] + delta)
+        val = seen.get(p)
+        if val is None:
+            val = seen[p] = sim(*p)
+        return p, val
+
     v0 = seed_rotation.view_direction()
-    x = [math.acos(max(-1.0, min(1.0, v0[2]))), math.atan2(v0[1], v0[0])]
-    best, roll = sim(*x)
+    x = (math.acos(max(-1.0, min(1.0, v0[2]))), math.atan2(v0[1], v0[0]))
+    best, roll = seen[x] = sim(*x)
     best = max(best, float(scores[i]))
 
     step = float(initial_step)
     for _ in range(descent_steps):
         for ci in range(2):
-            xp = list(x)
-            xp[ci] += step
-            xm = list(x)
-            xm[ci] -= step
-            fp, rp = sim(*xp)
-            fm, rm = sim(*xm)
+            xp, (fp, rp) = probe(x, ci, step)
+            xm, (fm, rm) = probe(x, ci, -step)
             if fp > best or fm > best:
                 if fp >= fm:
                     sign, x, best, roll = 1.0, xp, fp, rp
                 else:
                     sign, x, best, roll = -1.0, xm, fm, rm
                 for _ in range(_MAX_INNER_STEPS):
-                    nxt = list(x)
-                    nxt[ci] += sign * step
-                    fn, rn = sim(*nxt)
+                    nxt, (fn, rn) = probe(x, ci, sign * step)
                     if fn > best:
                         x, best, roll = nxt, fn, rn
                     else:
                         break
             # Parabolic refinement through (x - step, x, x + step).
-            xp = list(x)
-            xp[ci] += step
-            xm = list(x)
-            xm[ci] -= step
-            fp, _ = sim(*xp)
-            fm, _ = sim(*xm)
+            _, (fp, _) = probe(x, ci, step)
+            _, (fm, _) = probe(x, ci, -step)
             denom = fp - 2.0 * best + fm
             if denom < 0.0:
                 delta = 0.5 * step * (fm - fp) / denom
                 if abs(delta) < 4.0 * step:
-                    cand = list(x)
-                    cand[ci] += delta
-                    fc, rc = sim(*cand)
+                    cand, (fc, rc) = probe(x, ci, delta)
                     if fc > best:
                         x, best, roll = cand, fc, rc
         step *= 0.5

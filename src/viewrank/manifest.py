@@ -1,9 +1,10 @@
 """Experiment manifests: one JSON document that pins every output byte.
 
-Manifests are validated strictly: unknown fields are rejected with their
-path, missing fields take documented defaults, and the resolved (fully
-materialized) manifest is written beside every command's outputs so a rerun
-from that copy reproduces them byte for byte.
+Manifests are validated strictly: unknown fields, wrong types and
+out-of-range values are rejected with their path, a field given twice is
+rejected by name, missing fields take documented defaults, and the resolved
+(fully materialized) manifest is written beside every command's outputs so a
+rerun from that copy reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -99,6 +100,25 @@ _TYPES = {
     ("compare", "sigmas"): list,
 }
 
+# Allowed values, checked after the types: path -> (test, what the test asks).
+# Checked up front so that a bad value is a configuration error, not a failure
+# after set-up.
+_RANGES = {
+    ("schema_version",): (lambda v: v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
+    ("world", "n_blobs"): (lambda v: v >= 4, ">= 4"),
+    ("world", "descriptor_dim"): (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+    ("world", "patch_center"): (lambda v: len(v) == 3, "a list of 3 components"),
+    ("world", "patch_radius"): (lambda v: 0.0 < v < math.pi / 2.0, "in (0, pi/2)"),
+    ("codebook", "n_dirs"): (lambda v: v >= 1, ">= 1"),
+    ("codebook", "n_inplane"): (lambda v: v >= 1, ">= 1"),
+    ("ranking", "coarse_dirs"): (lambda v: v >= 1, ">= 1"),
+    ("ranking", "descent_steps"): (lambda v: v >= 0, ">= 0"),
+    ("sweep", "noise_factor"): (lambda v: v >= 0, ">= 0"),
+    ("policy", "noise_factor"): (lambda v: v >= 0, ">= 0"),
+    ("policy", "reachable", "kind"): (
+        lambda v: v in ("trajectory", "sphere"), "'trajectory' or 'sphere'"),
+}
+
 
 def _merge(defaults, data, path=""):
     if not isinstance(data, dict):
@@ -132,28 +152,37 @@ def _check_types(resolved, path=()):
             raise ManifestError(f"{'.'.join(where)}: expected {getattr(expected, '__name__', 'number')}")
 
 
+def _check_ranges(resolved):
+    for where, (ok, allowed) in _RANGES.items():
+        value = resolved
+        for key in where:
+            value = value[key]
+        if not ok(value):
+            raise ManifestError(f"{'.'.join(where)}: must be {allowed}, got {value!r}")
+
+
 def resolve(data: dict | None) -> dict:
     """Merge user fields over the defaults and validate the result."""
     resolved = _merge(DEFAULTS, data or {})
     _check_types(resolved)
-    if resolved["schema_version"] != SCHEMA_VERSION:
-        raise ManifestError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {resolved['schema_version']}"
-        )
-    if resolved["policy"]["reachable"]["kind"] not in ("trajectory", "sphere"):
-        raise ManifestError("policy.reachable.kind: must be 'trajectory' or 'sphere'")
-    if len(resolved["world"]["patch_center"]) != 3:
-        raise ManifestError("world.patch_center: expected 3 components")
-    for section in ("sweep", "policy"):
-        if not resolved[section]["noise_factor"] >= 0:
-            raise ManifestError(f"{section}.noise_factor: must be >= 0")
+    _check_ranges(resolved)
     return resolved
+
+
+def _unique_keys(pairs) -> dict:
+    """JSON object hook that refuses a key given twice in one object."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ManifestError(f"duplicate field: {key}")
+        out[key] = value
+    return out
 
 
 def load(path) -> dict:
     try:
         with open(path) as f:
-            data = json.load(f)
+            data = json.load(f, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ManifestError(f"cannot read manifest {path}: {e}") from e
     except json.JSONDecodeError as e:

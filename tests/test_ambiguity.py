@@ -20,7 +20,94 @@ from viewrank.ambiguity import (
     rank_object,
     split_by_threshold,
 )
-from viewrank.codebook import build_codebook, roll_aligned_cossim
+from viewrank.codebook import build_codebook, roll_aligned_cossim, roll_components
+
+
+def reference_direction_evaluator(target, z_unit, points=None):
+    """Scalar oracle for ``ambiguity._direction_evaluator``; logs each point in ``points``."""
+    positions = target.positions
+    descriptors = target.descriptors
+
+    def sim(theta, phi):
+        if points is not None:
+            points.append((theta, phi))
+        sin_t = math.sin(theta)
+        v = np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)])
+        w = np.clip(positions @ v, 0.0, None) ** 2
+        s = w @ descriptors
+        n = float(np.linalg.norm(s))
+        if n == 0.0:
+            return -1.0, 0.0
+        c, sn = roll_components(z_unit, s)
+        return math.hypot(c, sn) / n, math.atan2(sn, c)
+
+    return sim
+
+
+def reference_most_similar_view(z, target, target_cb, descent_steps=32, initial_step=None,
+                                points=None):
+    """Scalar oracle for ``most_similar_view``: the descent that evaluates every
+    probe afresh, repeats included; logs each evaluated point in ``points``."""
+    z = np.asarray(z, dtype=float)
+    z_unit = z / float(np.linalg.norm(z))
+    scores = target_cb.embeddings @ z_unit
+    i = int(np.argmax(scores))
+    seed_rotation = target_cb.rotations[i]
+    if descent_steps == 0:
+        return seed_rotation, float(np.clip(scores[i], -1.0, 1.0))
+    if initial_step is None:
+        n_dirs = int(target_cb.grid_meta.get("n_dirs", len(target_cb)))
+        initial_step = 2.0 * math.sqrt(4.0 * math.pi / n_dirs)
+
+    sim = reference_direction_evaluator(target, z_unit, points)
+    v0 = seed_rotation.view_direction()
+    x = [math.acos(max(-1.0, min(1.0, v0[2]))), math.atan2(v0[1], v0[0])]
+    best, roll = sim(*x)
+    best = max(best, float(scores[i]))
+
+    step = float(initial_step)
+    for _ in range(descent_steps):
+        for ci in range(2):
+            xp = list(x)
+            xp[ci] += step
+            xm = list(x)
+            xm[ci] -= step
+            fp, rp = sim(*xp)
+            fm, rm = sim(*xm)
+            if fp > best or fm > best:
+                if fp >= fm:
+                    sign, x, best, roll = 1.0, xp, fp, rp
+                else:
+                    sign, x, best, roll = -1.0, xm, fm, rm
+                for _ in range(ambiguity._MAX_INNER_STEPS):
+                    nxt = list(x)
+                    nxt[ci] += sign * step
+                    fn, rn = sim(*nxt)
+                    if fn > best:
+                        x, best, roll = nxt, fn, rn
+                    else:
+                        break
+            xp = list(x)
+            xp[ci] += step
+            xm = list(x)
+            xm[ci] -= step
+            fp, _ = sim(*xp)
+            fm, _ = sim(*xm)
+            denom = fp - 2.0 * best + fm
+            if denom < 0.0:
+                delta = 0.5 * step * (fm - fp) / denom
+                if abs(delta) < 4.0 * step:
+                    cand = list(x)
+                    cand[ci] += delta
+                    fc, rc = sim(*cand)
+                    if fc > best:
+                        x, best, roll = cand, fc, rc
+        step *= 0.5
+
+    theta, phi = x
+    sin_t = math.sin(theta)
+    direction = np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)])
+    return so3.look_at(direction, roll), min(1.0, max(-1.0, best))
 
 
 class TestMostSimilarView:
@@ -79,6 +166,47 @@ class TestMostSimilarView:
             most_similar_view(z, b, codebooks[1])
         with pytest.raises(ValueError):
             most_similar_view(np.ones(b.descriptor_dim), b, codebooks[1], descent_steps=-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+        steps=st.sampled_from([0, 1, 2, 5, 32]),
+        initial_step=st.sampled_from([None, 0.25]),
+    )
+    def test_matches_reference_bit_for_bit(self, pair, codebooks, seed, noise, steps,
+                                           initial_step):
+        a, b = pair
+        rng = np.random.default_rng(seed)
+        z = synthworld.render_embedding(a, so3.random_rotation(rng), noise, rng)
+        r, s = most_similar_view(z, b, codebooks[1], steps, initial_step)
+        r_ref, s_ref = reference_most_similar_view(z, b, codebooks[1], steps, initial_step)
+        assert np.array_equal(r.q, r_ref.q)
+        assert s == s_ref
+
+    def test_each_point_evaluated_once(self, pair, codebooks, visible_rotation, monkeypatch):
+        a, b = pair
+        z = synthworld.render_embedding(a, visible_rotation)
+        points, ref_points = [], []
+        inner = ambiguity._direction_evaluator
+
+        def counting(target, z_unit):
+            sim = inner(target, z_unit)
+
+            def counted(theta, phi):
+                points.append((theta, phi))
+                return sim(theta, phi)
+
+            return counted
+
+        monkeypatch.setattr(ambiguity, "_direction_evaluator", counting)
+        r, s = most_similar_view(z, b, codebooks[1])
+        r_ref, s_ref = reference_most_similar_view(z, b, codebooks[1], points=ref_points)
+        assert (s, tuple(r.q)) == (s_ref, tuple(r_ref.q))
+        assert len(points) == len(set(points))
+        # The same points are visited; only the repeats are gone.
+        assert set(points) == set(ref_points)
+        assert len(points) <= 0.65 * len(ref_points)
 
 
 class TestNormalizeAmbiguity:

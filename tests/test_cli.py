@@ -183,6 +183,21 @@ class TestErrors:
         assert run(bad, out, command) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"ranking": {"descent_steps": -1}}',
+        '{"ranking": {"coarse_dirs": 0}}',
+        '{"codebook": {"n_dirs": 0}}',
+        '{"world": {"patch_radius": 2.0}}',
+        '{"world": {"descriptor_dim": 31}}',
+        '{"seed": 1, "seed": 2}',
+    ])
+    def test_out_of_range_or_duplicate_exits_2(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        assert run(bad, out, "rank") == 2
+        assert not out.exists()
+
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.json", tmp_path / "out", "rank") == 2
 

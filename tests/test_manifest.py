@@ -68,6 +68,36 @@ class TestResolve:
                 resolve({section: {"noise_factor": float("nan")}})
             assert resolve({section: {"noise_factor": 0}})[section]["noise_factor"] == 0
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("ranking", "descent_steps", -1),
+        ("ranking", "coarse_dirs", 0),
+        ("codebook", "n_dirs", 0),
+        ("codebook", "n_inplane", 0),
+        ("world", "patch_radius", 2.0),
+        ("world", "patch_radius", 0.0),
+        ("world", "patch_radius", math.pi / 2.0),
+        ("world", "patch_radius", float("nan")),
+        ("world", "descriptor_dim", 31),
+        ("world", "descriptor_dim", 0),
+        ("world", "n_blobs", 3),
+    ])
+    def test_out_of_range_rejected(self, section, field, value):
+        with pytest.raises(ManifestError, match=f"{section}.{field}: must be"):
+            resolve({section: {field: value}})
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("ranking", "descent_steps", 0),
+        ("ranking", "coarse_dirs", 1),
+        ("codebook", "n_dirs", 1),
+        ("codebook", "n_inplane", 1),
+        ("world", "patch_radius", 1e-3),
+        ("world", "patch_radius", 1.5),
+        ("world", "descriptor_dim", 2),
+        ("world", "n_blobs", 4),
+    ])
+    def test_range_edges_accepted(self, section, field, value):
+        assert resolve({section: {field: value}})[section][field] == value
+
 
 class TestLoadSave:
     def test_roundtrip(self, tmp_path):
@@ -98,6 +128,15 @@ class TestLoadSave:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"world": {"bogus": 1}}))
         with pytest.raises(ManifestError, match="world.bogus"):
+            load(path)
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"seed": 1, "seed": 2}')
+        with pytest.raises(ManifestError, match="duplicate field: seed"):
+            load(path)
+        path.write_text('{"sweep": {"trials": 2, "eval_samples": 5, "trials": 3}}')
+        with pytest.raises(ManifestError, match="duplicate field: trials"):
             load(path)
 
     def test_default_patch_radius(self):
