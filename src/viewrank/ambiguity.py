@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
 from .codebook import Codebook, roll_components
-from .so3 import Rotation, ViewGrid
+from .so3 import Rotation, ViewGrid, as_unit_quats
 from .synthworld import SynthObject, render_embeddings
 
 DEFAULT_DESCENT_STEPS = 32
@@ -45,12 +45,17 @@ class MatchedPair:
 
 @dataclass(frozen=True)
 class AmbiguityTable:
-    """Matched pairs sorted by similarity descending, with normalized ambiguity."""
+    """Matched pairs sorted by similarity descending, with normalized ambiguity.
+
+    ``r_a_quats`` is the ``(N, 4)`` array of the pairs' ``r_a``, built once;
+    lookups scan it.
+    """
 
     object_class: str
     pairs: tuple
     ambiguity: np.ndarray
     grid_meta: dict
+    r_a_quats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amb = np.asarray(self.ambiguity, dtype=float)
@@ -58,6 +63,8 @@ class AmbiguityTable:
             raise ValueError("ambiguity length does not match pair count")
         amb.flags.writeable = False
         object.__setattr__(self, "ambiguity", amb)
+        quats = np.array([p.r_a.q for p in self.pairs], dtype=float).reshape(-1, 4)
+        object.__setattr__(self, "r_a_quats", as_unit_quats(quats))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -66,23 +73,17 @@ class AmbiguityTable:
     def raw_similarity(self) -> np.ndarray:
         return np.array([p.similarity for p in self.pairs])
 
-    def rotations(self) -> list:
-        return [p.r_a for p in self.pairs]
-
-    def quat_array(self) -> np.ndarray:
-        return np.array([p.r_a.q for p in self.pairs])
-
     def lookup(self, r: Rotation) -> float:
         """Ambiguity of the nearest ranked orientation (geodesic nearest grid point)."""
         return float(self.ambiguity[self.nearest_index(r)])
 
     def nearest_index(self, r: Rotation) -> int:
-        dots = np.abs(self.quat_array() @ r.q)
+        dots = np.abs(self.r_a_quats @ r.q)
         return int(np.argmax(dots))
 
     def lookup_batch(self, quats: np.ndarray) -> np.ndarray:
         """Vectorized nearest-orientation lookup for a (N, 4) quaternion array."""
-        dots = np.abs(np.asarray(quats, dtype=float) @ self.quat_array().T)
+        dots = np.abs(np.asarray(quats, dtype=float) @ self.r_a_quats.T)
         return self.ambiguity[np.argmax(dots, axis=1)]
 
     def to_json(self) -> dict:
@@ -199,7 +200,7 @@ def most_similar_view(
 
     scores = target_cb.embeddings @ z_unit
     i = int(np.argmax(scores))
-    seed_rotation = target_cb.rotations[i]
+    seed_rotation = target_cb.rotation(i)
     if descent_steps == 0:
         return seed_rotation, float(np.clip(scores[i], -1.0, 1.0))
 
@@ -298,7 +299,7 @@ def rank_object(
     if len(coarse_grid) == 0:
         raise ValueError("coarse grid is empty")
 
-    z_all = render_embeddings(obj, coarse_grid.quat_array())
+    z_all = render_embeddings(obj, coarse_grid.quats)
     step0 = 2.0 * coarse_grid.direction_spacing()
 
     def rank_one(idx: int):
@@ -309,7 +310,7 @@ def rank_object(
             if best is None or s > best[0]:
                 best = (s, r_b, other.class_id)
         s, r_b, cls = best
-        return MatchedPair(s, coarse_grid.rotations[idx], r_b, cls)
+        return MatchedPair(s, coarse_grid.rotation(idx), r_b, cls)
 
     matched = [rank_one(i) for i in range(len(coarse_grid))]
 

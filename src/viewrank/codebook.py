@@ -1,8 +1,9 @@
 """Per-object embedding codebooks and cosine-similarity pose queries.
 
 A codebook stores one unit-normalized embedding per view-grid rotation.
-Queries are exact exhaustive scans (a single matrix-vector product); ties
-resolve to the lowest entry index so results are reproducible.
+Queries are exact exhaustive scans (a single matrix-vector product and a
+linear-time selection); ties resolve to the lowest entry index so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -13,21 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation, ViewGrid
+from .so3 import Rotation, ViewGrid, as_unit_quats
 from .synthworld import SynthObject, render_embeddings
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, refusing a squared norm that is zero or has
+    underflowed (below the smallest normal float), where the root is inaccurate."""
+    x = x.ravel()
+    sq = float(x.dot(x))
+    if sq < np.finfo(float).tiny:
+        raise ValueError("cosine similarity of a zero-norm embedding is undefined")
+    return math.sqrt(sq)
+
+
 def cossim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two embeddings; rejects zero-norm input."""
+    """Cosine similarity of two embeddings; rejects zero or underflowing norms."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of a zero-norm embedding is undefined")
-    return float(np.clip(float(a @ b) / (na * nb), -1.0, 1.0))
+    return float(np.clip(float(a @ b) / (_norm(a) * _norm(b)), -1.0, 1.0))
 
 
 def roll_components(a: np.ndarray, b: np.ndarray):
@@ -57,10 +64,7 @@ def roll_aligned_cossim(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[-1] % 2 != 0:
         raise ValueError("roll alignment requires an even embedding dimension")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity of a zero-norm embedding is undefined")
+    na, nb = _norm(a), _norm(b)
     c, s = roll_components(a, b)
     return float(np.clip(math.hypot(c, s) / (na * nb), -1.0, 1.0))
 
@@ -74,29 +78,34 @@ class PoseHypothesis:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Immutable (rotation, unit embedding) array for one object."""
+    """Immutable (rotation, unit embedding) arrays for one object."""
 
-    rotations: tuple
+    quats: np.ndarray       # (N, 4), unit rows
     embeddings: np.ndarray  # (N, d), unit rows
     class_id: str
     group_id: str
     grid_meta: dict
 
     def __post_init__(self):
+        quats = as_unit_quats(self.quats)
         emb = np.asarray(self.embeddings, dtype=float)
-        if emb.shape[0] != len(self.rotations):
+        if emb.shape[0] != len(quats):
             raise ValueError("entry count does not match rotation count")
         emb.flags.writeable = False
+        object.__setattr__(self, "quats", quats)
         object.__setattr__(self, "embeddings", emb)
 
     def __len__(self) -> int:
-        return len(self.rotations)
+        return len(self.quats)
+
+    def rotation(self, i: int) -> Rotation:
+        return Rotation.wrap(self.quats[i])
 
     def scores(self, z: np.ndarray) -> np.ndarray:
         zu = np.asarray(z, dtype=float)
         n = float(np.linalg.norm(zu))
-        if n == 0.0:
-            raise ValueError("cannot query a codebook with a zero-norm embedding")
+        if n == 0.0 or not math.isfinite(n):
+            raise ValueError("cannot query a codebook with a zero-norm or non-finite embedding")
         return self.embeddings @ (zu / n)
 
     def to_json(self) -> dict:
@@ -104,7 +113,7 @@ class Codebook:
             "class_id": self.class_id,
             "group_id": self.group_id,
             "grid_meta": dict(self.grid_meta),
-            "rotations": [r.to_json() for r in self.rotations],
+            "rotations": self.quats.tolist(),
             "embeddings": self.embeddings.tolist(),
         }
 
@@ -115,7 +124,7 @@ class Codebook:
     @classmethod
     def from_json(cls, data: dict) -> "Codebook":
         return cls(
-            rotations=tuple(Rotation.from_quat(q) for q in data["rotations"]),
+            quats=np.array(data["rotations"], dtype=float).reshape(len(data["rotations"]), 4),
             embeddings=np.array(data["embeddings"], dtype=float),
             class_id=data["class_id"],
             group_id=data["group_id"],
@@ -132,12 +141,12 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     """Noise-free embeddings of every grid rotation, normalized per entry."""
     if len(grid) == 0:
         raise ValueError("view grid is empty")
-    z = render_embeddings(obj, grid.quat_array())
+    z = render_embeddings(obj, grid.quats)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("object rendered a zero embedding; degenerate blob layout")
     return Codebook(
-        rotations=grid.rotations,
+        quats=grid.quats,
         embeddings=z / norms,
         class_id=obj.class_id,
         group_id=obj.group_id,
@@ -149,11 +158,27 @@ def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
     """Best codebook entry by cosine similarity; ties go to the lowest index."""
     s = cb.scores(z)
     i = int(np.argmax(s))
-    return PoseHypothesis(cb.class_id, cb.rotations[i], float(np.clip(s[i], -1.0, 1.0)))
+    return PoseHypothesis(cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))
+
+
+def _top_k(s: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` largest scores, in the order of the stable
+    ``argsort(-s)``: by score descending, ties by lowest index."""
+    if k == 1:
+        return np.array([np.argmax(s)])
+    if k >= len(s):
+        return np.argsort(-s, kind="stable")
+    kth = s[np.argpartition(-s, k - 1)[k - 1]]
+    cand = np.flatnonzero(s >= kth)  # every score tied with the k-th, in index order
+    return cand[np.argsort(-s[cand], kind="stable")[:k]]
 
 
 def hypotheses_for_group(codebooks, z: np.ndarray, k: int = 1) -> list:
-    """Top-k entries per in-group class, merged and sorted by score descending."""
+    """Top-k entries per in-group class, merged and sorted by score descending.
+
+    Each class is one score scan and a linear-time selection (``argmax`` for
+    ``k = 1``), with ties going to the lowest entry index.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not codebooks:
@@ -161,10 +186,10 @@ def hypotheses_for_group(codebooks, z: np.ndarray, k: int = 1) -> list:
     hyps = []
     for ci, cb in enumerate(codebooks):
         s = cb.scores(z)
-        top = np.argsort(-s, kind="stable")[:k]
-        for i in top:
-            hyps.append(((-float(s[i]), ci, int(i)), PoseHypothesis(
-                cb.class_id, cb.rotations[int(i)], float(np.clip(s[int(i)], -1.0, 1.0)))))
+        for i in _top_k(s, k):
+            i = int(i)
+            hyps.append(((-float(s[i]), ci, i), PoseHypothesis(
+                cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))))
     hyps.sort(key=lambda t: t[0])
     return [h for _, h in hyps]
 

@@ -53,23 +53,26 @@ class TrajectoryGrid:
 
 @dataclass(frozen=True)
 class ReachableSet:
-    """Camera orientations the platform may assume next."""
+    """Camera orientations the platform may assume next, as an ``(N, 4)``
+    quaternion array."""
 
-    rotations: tuple
+    quats: np.ndarray
     generator_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.rotations) == 0:
+        quats = so3.as_unit_quats(self.quats)
+        if len(quats) == 0:
             raise ValueError("reachable set must be nonempty")
+        object.__setattr__(self, "quats", quats)
 
     def __len__(self) -> int:
-        return len(self.rotations)
+        return len(self.quats)
 
-    def quat_array(self) -> np.ndarray:
-        return np.array([r.q for r in self.rotations])
+    def rotation(self, i: int) -> Rotation:
+        return Rotation.wrap(self.quats[i])
 
     def index_of(self, r: Rotation) -> int | None:
-        dots = np.abs(self.quat_array() @ r.q)
+        dots = np.abs(self.quats @ r.q)
         i = int(np.argmax(dots))
         return i if dots[i] >= _SAME_ROTATION_DOT else None
 
@@ -77,19 +80,16 @@ class ReachableSet:
         """Same set, extended with ``r`` if it is not already a member."""
         if self.index_of(r) is not None:
             return self
-        return ReachableSet(self.rotations + (r,), dict(self.generator_meta, extended=True))
+        return ReachableSet(np.vstack([self.quats, r.q]),
+                            dict(self.generator_meta, extended=True))
 
 
 def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
     """Look-at rotations (roll 0) for every circle/azimuth sample."""
-    rotations = []
-    for theta in grid.circles:
-        for j in range(grid.steps):
-            phi = 2.0 * math.pi * j / grid.steps
-            d = so3.SphericalDirection(theta, phi).unit_vector()
-            rotations.append(so3.look_at(d))
+    dirs = [so3.SphericalDirection(theta, 2.0 * math.pi * j / grid.steps).unit_vector()
+            for theta in grid.circles for j in range(grid.steps)]
     return ReachableSet(
-        tuple(rotations),
+        so3.look_at_quats(dirs),
         {"kind": "trajectory", "circles": list(grid.circles), "steps": grid.steps,
          "radius": grid.radius},
     )
@@ -98,20 +98,19 @@ def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
 def build_sphere_reachable(n_dirs: int) -> ReachableSet:
     """Full-sphere reachable set from a Fibonacci direction grid (roll 0)."""
     grid = so3.build_view_grid(n_dirs, 1)
-    return ReachableSet(grid.rotations, {"kind": "sphere", "n_dirs": n_dirs})
+    return ReachableSet(grid.quats, {"kind": "sphere", "n_dirs": n_dirs})
 
 
 def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:
     """Reachable orientation ``r`` minimizing the mean table ambiguity of the
     hypotheses seen from it (lookup key ``r^-1 @ r_hyp``); ties by lowest index."""
-    return reachable.rotations[_next_best_index(hypotheses, tables, reachable)]
+    return reachable.rotation(_next_best_index(hypotheses, tables, reachable))
 
 
 def _next_best_index(hypotheses, tables, reachable: ReachableSet) -> int:
     if not hypotheses:
         raise ValueError("need at least one hypothesis")
-    reach_q = reachable.quat_array()
-    inv_q = so3.quat_conj(reach_q)
+    inv_q = so3.quat_conj(reachable.quats)
     mean_amb = np.zeros(len(reachable))
     for h in hypotheses:
         rel = so3.quat_mul(inv_q, h.rotation.q)
@@ -195,7 +194,7 @@ def run_episode(
 
     if start is None:
         start_idx = int(seeding.rng(seed, "start").integers(0, len(reachable)))
-        start = reachable.rotations[start_idx]
+        start = reachable.rotation(start_idx)
     reachable = reachable.with_rotation(start)
     current_idx = reachable.index_of(start)
 
@@ -204,7 +203,7 @@ def run_episode(
     predictions = []
     moves = 0
     while True:
-        camera = reachable.rotations[current_idx]
+        camera = reachable.rotation(current_idx)
         visited.append(camera)
         rel_true = camera.inverse() @ true_pose
         z = render_embedding(

@@ -44,6 +44,18 @@ class Rotation:
         self.q.flags.writeable = False
 
     @classmethod
+    def wrap(cls, q) -> "Rotation":
+        """The rotation ``q`` kept bit for bit, without renormalizing.
+
+        ``q`` must already be a unit, canonical quaternion, such as a row of
+        a rotation-set array; renormalizing such a row can move its last bit.
+        """
+        r = cls.__new__(cls)
+        r.q = np.array(q, dtype=float)
+        r.q.flags.writeable = False
+        return r
+
+    @classmethod
     def identity(cls) -> "Rotation":
         return cls(1.0, 0.0, 0.0, 0.0)
 
@@ -93,9 +105,7 @@ class Rotation:
 
     def roll_angle(self) -> float:
         """In-plane roll: angle of ``look_at(view_direction)^-1 @ self`` about z."""
-        v = self.view_direction()
-        rel = quat_mul(quat_conj(_look_at_quat(v)), self.q)
-        return 2.0 * math.atan2(rel[3], rel[0])
+        return float(roll_angles(self.q))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rotation):
@@ -134,20 +144,41 @@ class SphericalDirection:
         return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
 
+def as_unit_quats(quats) -> np.ndarray:
+    """Read-only ``(N, 4)`` array of unit quaternion rows (``N`` may be 0).
+
+    A read-only float array is returned as is, so rotation sets built from
+    one another share their rows.
+    """
+    q = np.asarray(quats, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"quaternions must form an (N, 4) array, got shape {q.shape}")
+    if not np.all(np.abs(np.sqrt(np.vecdot(q, q)) - 1.0) <= _UNIT_TOL):
+        raise ValueError("quaternion rows must have unit norm")
+    if q.flags.writeable:
+        q = q.copy()
+        q.flags.writeable = False
+    return q
+
+
 @dataclass(frozen=True)
 class ViewGrid:
-    """Ordered rotations: one block of ``n_inplane`` rolls per sphere direction."""
+    """Ordered rotations as an ``(N, 4)`` quaternion array: one block of
+    ``n_inplane`` rolls per sphere direction."""
 
-    rotations: tuple
+    quats: np.ndarray
     directions: tuple
     n_dirs: int
     n_inplane: int
 
-    def __len__(self) -> int:
-        return len(self.rotations)
+    def __post_init__(self):
+        object.__setattr__(self, "quats", as_unit_quats(self.quats))
 
-    def quat_array(self) -> np.ndarray:
-        return np.array([r.q for r in self.rotations])
+    def __len__(self) -> int:
+        return len(self.quats)
+
+    def rotation(self, i: int) -> Rotation:
+        return Rotation.wrap(self.quats[i])
 
     def direction_spacing(self) -> float:
         """Expected angular spacing of the direction lattice, sqrt(4*pi/n)."""
@@ -182,15 +213,34 @@ def look_at(direction, roll: float = 0.0) -> Rotation:
     about the view axis *before* the alignment, so the viewed direction is
     unchanged while the image rotates in-plane.
     """
-    d = np.asarray(direction, dtype=float)
-    n = math.sqrt(float(d @ d))
-    if n < 1e-12:
-        raise ValueError("direction has zero norm")
-    d = d / n
-    base = Rotation.from_quat(_look_at_quat(d))
-    if roll == 0.0:
-        return base
-    return base @ Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
+    return Rotation.wrap(look_at_quats([direction], (roll,))[0])
+
+
+def look_at_quats(directions, rolls=(0.0,)) -> np.ndarray:
+    """``look_at(d, roll).q`` for every direction row ``d`` and every roll.
+
+    Returns an ``(M * K, 4)`` array in direction-major order for ``M``
+    directions and ``K`` rolls.  Each row is computed as the scalar
+    composition would be: the direction and the base alignment normalized
+    (the base twice, as alignment and as a rotation), the roll built as a
+    ``Rotation``, their product normalized, every quaternion canonicalized.
+    Squared norms use ``np.vecdot``, which rounds like the 1-d ``q @ q``.
+    """
+    d = np.asarray(directions, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise ValueError(f"directions must form an (M, 3) array, got shape {d.shape}")
+    n = np.sqrt(np.vecdot(d, d))
+    if not np.all((n >= 1e-12) & np.isfinite(n)):
+        raise ValueError("direction has zero or non-finite norm")
+    base = _canonical(_unit(_unit(_look_at_base(d / n[:, None]))))
+    out = np.empty((len(d), len(rolls), 4))
+    for j, roll in enumerate(rolls):
+        if roll == 0.0:
+            out[:, j] = base
+        else:
+            spin = Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
+            out[:, j] = _canonical(_unit(quat_mul(base, spin.q)))
+    return out.reshape(-1, 4)
 
 
 def build_view_grid(n_dirs: int, n_inplane: int) -> ViewGrid:
@@ -198,12 +248,9 @@ def build_view_grid(n_dirs: int, n_inplane: int) -> ViewGrid:
     if n_dirs < 1 or n_inplane < 1:
         raise ValueError(f"counts must be >= 1, got ({n_dirs}, {n_inplane})")
     dirs = fibonacci_directions(n_dirs)
-    rotations = []
-    for sd in dirs:
-        d = sd.unit_vector()
-        for j in range(n_inplane):
-            rotations.append(look_at(d, 2.0 * math.pi * j / n_inplane))
-    return ViewGrid(tuple(rotations), tuple(dirs), n_dirs, n_inplane)
+    rolls = [2.0 * math.pi * j / n_inplane for j in range(n_inplane)]
+    quats = look_at_quats([sd.unit_vector() for sd in dirs], rolls)
+    return ViewGrid(quats, tuple(dirs), n_dirs, n_inplane)
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:
@@ -255,29 +302,48 @@ def roll_angles(quats: np.ndarray, dirs: np.ndarray | None = None) -> np.ndarray
     """In-plane roll of each rotation in a (..., 4) quaternion array."""
     q = np.asarray(quats, dtype=float)
     v = view_directions(q) if dirs is None else np.asarray(dirs, dtype=float)
-    la = _look_at_quats(v)
+    la = _look_at_base(v)
+    # Rendered embeddings carry these bits: keep the summed squared norm.
+    la = la / np.sqrt(np.sum(la * la, axis=-1, keepdims=True))
     rel = quat_mul(quat_conj(la), q)
     return 2.0 * np.arctan2(rel[..., 3], rel[..., 0])
 
 
-def _look_at_quat(d: np.ndarray) -> np.ndarray:
-    """Unnormalized-input geodesic alignment quaternion from +z to unit d."""
-    w = 1.0 + d[2]
-    if w < 1e-12:
-        return np.array([0.0, 1.0, 0.0, 0.0])  # half turn about x for d = -z
-    q = np.array([w, -d[1], d[0], 0.0])
-    return q / math.sqrt(float(q @ q))
+def _look_at_base(d: np.ndarray) -> np.ndarray:
+    """Unnormalized geodesic alignment quaternions from +z to unit rows ``d``.
 
-
-def _look_at_quats(d: np.ndarray) -> np.ndarray:
+    ``w = 1 + d_z`` cancels to 0 within about 1.4e-6 rad of -z; there it is
+    recomputed as ``(d_x^2 + d_y^2) / (1 - d_z)`` and the row is scaled to a
+    unit maximum, so its norm cannot underflow.  Only ``d = -z`` itself, which
+    has no geodesic alignment, falls back to a half turn about x.
+    """
     d = np.asarray(d, dtype=float)
-    w = 1.0 + d[..., 2]
-    q = np.stack([w, -d[..., 1], d[..., 0], np.zeros_like(w)], axis=-1)
-    degenerate = w < 1e-12
-    if np.any(degenerate):
-        q[degenerate] = np.array([0.0, 1.0, 0.0, 0.0])
-    n = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    return q / n
+    rows = d.reshape(-1, 3)
+    w = 1.0 + rows[:, 2]
+    q = np.stack([w, -rows[:, 1], rows[:, 0], np.zeros_like(w)], axis=-1)
+    near = w < 1e-12
+    if np.any(near):
+        dn = rows[near]
+        qn = q[near]
+        qn[:, 0] = (dn[:, 0] * dn[:, 0] + dn[:, 1] * dn[:, 1]) / (1.0 - dn[:, 2])
+        top = np.max(np.abs(qn), axis=1, keepdims=True)
+        pole = top[:, 0] == 0.0
+        qn[pole] = (0.0, 1.0, 0.0, 0.0)
+        top[pole] = 1.0
+        q[near] = qn / top
+    return q.reshape(d.shape[:-1] + (4,))
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    return q / np.sqrt(np.vecdot(q, q))[..., None]
+
+
+def _canonical(q: np.ndarray) -> np.ndarray:
+    """``(M, 4)`` rows with their first nonzero component made positive, in
+    place, as ``Rotation`` does."""
+    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
+    q[lead < 0.0] *= -1.0
+    return q
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:

@@ -28,6 +28,13 @@ DEFAULT_N_BLOBS = 512
 DEFAULT_DESCRIPTOR_DIM = 32
 DEFAULT_PATCH_RADIUS = math.pi / 3.0
 
+# Rows per render block, which bounds the (rows, n_blobs) weight matrix.  A
+# trailing block under half of this joins the block before it: small blocks
+# take other BLAS kernels than one call over all rows and round differently
+# (a 1-row block is a matrix-vector product), while blocks this large give
+# every row the bits of the single call (checked with OpenBLAS).
+_RENDER_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class SynthObject:
@@ -148,12 +155,24 @@ def make_ambiguous_pair(
 
 
 def render_embeddings(obj: SynthObject, quats: np.ndarray) -> np.ndarray:
-    """Noise-free embeddings for a (N, 4) quaternion array; returns (N, d)."""
+    """Noise-free embeddings for a (N, 4) quaternion array; returns (N, d).
+
+    Rows are rendered in blocks of ``_RENDER_CHUNK``, so peak memory does not
+    grow with N.
+    """
     q = np.atleast_2d(np.asarray(quats, dtype=float))
-    v = view_directions(q)                                   # (N, 3)
-    w = np.clip(v @ obj.positions.T, 0.0, None) ** 2         # (N, n)
-    s = w @ obj.descriptors                                  # (N, d)
-    return _mix_pairs(s, roll_angles(q, v))
+    out = np.empty((len(q), obj.descriptor_dim))
+    lo = 0
+    while lo < len(q):
+        hi = lo + _RENDER_CHUNK
+        if len(q) - hi < _RENDER_CHUNK // 2:
+            hi = len(q)
+        block = q[lo:hi]
+        v = view_directions(block)                               # (B, 3)
+        w = np.clip(v @ obj.positions.T, 0.0, None) ** 2         # (B, n)
+        out[lo:hi] = _mix_pairs(w @ obj.descriptors, roll_angles(block, v))
+        lo = hi
+    return out
 
 
 def _mix_pairs(z: np.ndarray, rolls: np.ndarray) -> np.ndarray:
@@ -206,5 +225,5 @@ def mean_embedding_norm(obj: SynthObject, n_sample_dirs: int = 256) -> float:
     from .so3 import build_view_grid
 
     grid = build_view_grid(n_sample_dirs, 1)
-    z = render_embeddings(obj, grid.quat_array())
+    z = render_embeddings(obj, grid.quats)
     return float(np.mean(np.linalg.norm(z, axis=1)))

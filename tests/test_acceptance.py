@@ -152,9 +152,9 @@ def test_criterion_03_descent_monotone_and_near_oracle(world, default_codebooks)
         and by_steps[8][r] <= by_steps[32][r] + 1e-12
         for r in rotations
     )
-    queries = synthworld.render_embeddings(a, coarse.quat_array())
+    queries = synthworld.render_embeddings(a, coarse.quats)
     oracle = _fine_oracle_similarities(b, queries, 16 * DEFAULTS["ranking"]["coarse_dirs"])
-    descent = np.array([by_steps[32][r] for r in coarse.rotations])
+    descent = np.array([by_steps[32][coarse.rotation(i)] for i in range(len(coarse))])
     exceed_frac = float(np.mean(oracle - descent > 1e-3))
     _report(
         3, "descent monotonicity and oracle gap",
@@ -268,7 +268,7 @@ def test_criterion_07_pose_estimation_sanity(world, default_codebooks):
     # distance among the queries, found by brute force) in >= 95% of trials.
     a, _ = world
     cb = default_codebooks[0]
-    grid_q = np.array([r.q for r in cb.rotations])
+    grid_q = cb.quats
     rng = np.random.default_rng(DEFAULTS["seed"])
     truths = [so3.random_rotation(rng) for _ in range(200)]
     nn_dist = np.empty(len(truths))
@@ -353,7 +353,7 @@ def test_criterion_09_invariant_suites(world, default_tables, default_classifier
     nbv = policy.next_best_view(
         [PoseHypothesis("A", hyp_rot, 1.0)], default_tables, reachable
     )
-    checks["reachable membership"] = nbv in reachable.rotations
+    checks["reachable membership"] = bool(np.any(np.all(reachable.quats == nbv.q, axis=1)))
     ra, rb = so3.random_rotation(rng), so3.random_rotation(rng)
     checks["metric symmetry"] = blob_match_similarity(a, ra, b, rb) == blob_match_similarity(
         b, rb, a, ra

@@ -52,7 +52,7 @@ def reference_most_similar_view(z, target, target_cb, descent_steps=32, initial_
     z_unit = z / float(np.linalg.norm(z))
     scores = target_cb.embeddings @ z_unit
     i = int(np.argmax(scores))
-    seed_rotation = target_cb.rotations[i]
+    seed_rotation = target_cb.rotation(i)
     if descent_steps == 0:
         return seed_rotation, float(np.clip(scores[i], -1.0, 1.0))
     if initial_step is None:
@@ -142,7 +142,7 @@ class TestMostSimilarView:
         r0, s0 = most_similar_view(z, b, cb, descent_steps=0)
         scores = cb.scores(z)
         i = int(np.argmax(scores))
-        assert r0 == cb.rotations[i]
+        assert r0 == cb.rotation(i)
         assert s0 == pytest.approx(float(scores[i]), abs=1e-12)
 
     def test_descent_beats_seed(self, pair, codebooks, visible_rotation):
@@ -349,6 +349,14 @@ class TestTableQueries:
         rots = [so3.random_rotation(rng) for _ in range(32)]
         batch = t.lookup_batch(np.array([r.q for r in rots]))
         assert np.array_equal(batch, [t.lookup(r) for r in rots])
+
+    def test_r_a_array_is_pair_rows(self, tables):
+        t = tables["A"]
+        assert t.r_a_quats.shape == (len(t), 4)
+        for i, p in enumerate(t.pairs):
+            assert np.array_equal(p.r_a.q, t.r_a_quats[i])
+        with pytest.raises(ValueError):
+            t.r_a_quats[0, 0] = 1.0
 
     def test_exact_grid_point(self, tables):
         t = tables["A"]

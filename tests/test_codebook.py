@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewrank import so3, synthworld
@@ -43,6 +43,12 @@ class TestCossim:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cossim([1.0, 0.0], [1.0, 0.0, 0.0])
+
+    def test_underflowing_norm_rejected(self):
+        # The squared norm 3.8e-321 is subnormal: its root is off by ~1e-4.
+        with pytest.raises(ValueError, match="zero-norm"):
+            cossim([0.0, 1.0], [0.0, 6.19e-161])
+        assert cossim([0.0, 1.0], [0.0, 1.5e-154]) == 1.0
 
     @given(vectors, vectors)
     def test_range_and_symmetry(self, a, b):
@@ -91,6 +97,12 @@ class TestRollAlignedCossim:
         with pytest.raises(ValueError):
             roll_aligned_cossim([0.0, 0.0], [1.0, 0.0])
 
+    def test_underflowing_norm_rejected(self):
+        with pytest.raises(ValueError, match="zero-norm"):
+            roll_aligned_cossim([0.0, 1.0], [0.0, 6.19e-161])
+        with pytest.raises(ValueError, match="zero-norm"):
+            roll_aligned_cossim([6.19e-161, 0.0], [0.0, 1.0])
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -99,6 +111,19 @@ class TestRollAlignedCossim:
 
 
 even_dims = st.integers(1, 6).map(lambda k: 2 * k)
+
+
+def reference_hypotheses(codebooks, z, k):
+    """Oracle for ``hypotheses_for_group``: a full stable argsort per codebook."""
+    hyps = []
+    for ci, cb in enumerate(codebooks):
+        s = cb.scores(z)
+        for i in np.argsort(-s, kind="stable")[:k]:
+            i = int(i)
+            hyps.append(((-float(s[i]), ci, i), PoseHypothesis(
+                cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))))
+    hyps.sort(key=lambda t: t[0])
+    return [h for _, h in hyps]
 
 
 @st.composite
@@ -133,13 +158,17 @@ class TestRollComponents:
 
     @given(row_stacks())
     @settings(max_examples=200)
+    @example((np.array([[0.0, 1.0]]), np.array([[0.0, 6.19e-161]])))
     def test_hypot_matches_roll_aligned_cossim(self, stacks):
         a, b = stacks
+        tiny = np.finfo(float).tiny
         for x in a:
             for y in b:
-                nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-                if nx == 0.0 or ny == 0.0:
+                if float(x @ x) < tiny or float(y @ y) < tiny:
+                    with pytest.raises(ValueError):
+                        roll_aligned_cossim(x, y)
                     continue
+                nx, ny = np.linalg.norm(x), np.linalg.norm(y)
                 c, s = roll_components(x, y)
                 assert math.hypot(c, s) / (nx * ny) == pytest.approx(
                     roll_aligned_cossim(x, y), abs=1e-12)
@@ -173,7 +202,7 @@ class TestBuildCodebook:
     def test_entries_match_renderer(self, pair, codebooks, codebook_grid):
         a, _ = pair
         i = 137
-        z = synthworld.render_embedding(a, codebook_grid.rotations[i])
+        z = synthworld.render_embedding(a, codebook_grid.rotation(i))
         assert np.allclose(codebooks[0].embeddings[i], z / np.linalg.norm(z), atol=1e-12)
 
     def test_embeddings_write_protected(self, codebooks):
@@ -182,7 +211,7 @@ class TestBuildCodebook:
 
     def test_empty_grid_rejected(self, pair):
         a, _ = pair
-        empty = so3.ViewGrid(rotations=(), directions=(), n_dirs=0, n_inplane=0)
+        empty = so3.ViewGrid(quats=np.empty((0, 4)), directions=(), n_dirs=0, n_inplane=0)
         with pytest.raises(ValueError):
             build_codebook(a, empty)
 
@@ -190,7 +219,7 @@ class TestBuildCodebook:
         cb = codebooks[0]
         with pytest.raises(ValueError):
             Codebook(
-                rotations=cb.rotations[:-1],
+                quats=cb.quats[:-1],
                 embeddings=cb.embeddings,
                 class_id="A",
                 group_id="g",
@@ -210,9 +239,18 @@ class TestScoresAndEstimatePose:
         with pytest.raises(ValueError):
             codebooks[0].scores(np.zeros(codebooks[0].embeddings.shape[1]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_query_rejected(self, codebooks, bad):
+        z = np.ones(codebooks[0].embeddings.shape[1])
+        z[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            codebooks[0].scores(z)
+        with pytest.raises(ValueError, match="non-finite"):
+            hypotheses_for_group(codebooks, z, k=2)
+
     def test_grid_view_recovered_exactly(self, pair, codebooks, codebook_grid):
         a, _ = pair
-        r = codebook_grid.rotations[411]
+        r = codebook_grid.rotation(411)
         hyp = estimate_pose(codebooks[0], synthworld.render_embedding(a, r))
         assert hyp.rotation == r
         assert hyp.score == pytest.approx(1.0, abs=1e-9)
@@ -226,7 +264,7 @@ class TestScoresAndEstimatePose:
             z = synthworld.render_embedding(a, so3.random_rotation(rng))
             hyp = estimate_pose(cb, z)
             best = max(range(len(cb)), key=lambda i: (cossim(cb.embeddings[i], z), -i))
-            assert hyp.rotation == cb.rotations[best]
+            assert hyp.rotation == cb.rotation(best)
 
     def test_scale_invariance(self, pair, codebooks):
         a, _ = pair
@@ -237,10 +275,10 @@ class TestScoresAndEstimatePose:
         assert h1.score == pytest.approx(h2.score, abs=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
-        rots = tuple(so3.build_view_grid(1, 3).rotations)
+        grid = so3.build_view_grid(1, 3)
         emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cb = Codebook(rotations=rots, embeddings=emb, class_id="A", group_id="g", grid_meta={})
-        assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == rots[0]
+        cb = Codebook(quats=grid.quats, embeddings=emb, class_id="A", group_id="g", grid_meta={})
+        assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == grid.rotation(0)
 
 
 class TestGroupQueries:
@@ -261,6 +299,35 @@ class TestGroupQueries:
         best = max(per_class, key=lambda h: h.score)
         assert hyps[0].score == pytest.approx(best.score, abs=1e-12)
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_matches_stable_argsort_oracle(self, data):
+        # Rows drawn from a few axis vectors make exact score ties.
+        d = data.draw(st.sampled_from([2, 4]))
+        pool = np.vstack([np.eye(d), -np.eye(d)])
+        codebooks = []
+        for cls in ("A", "B"):
+            n = data.draw(st.integers(1, 8))
+            rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+            codebooks.append(Codebook(quats=so3.build_view_grid(n, 1).quats,
+                                      embeddings=pool[rows], class_id=cls, group_id="g",
+                                      grid_meta={}))
+        z = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
+        if not z.any():
+            z[0] = 1.0
+        n = len(codebooks[0])
+        k = data.draw(st.sampled_from([1, 2, 3, n, n + 1]))
+        assert hypotheses_for_group(codebooks, z, k) == reference_hypotheses(codebooks, z, k)
+
+    def test_rotations_are_codebook_rows(self, pair, codebooks):
+        a, _ = pair
+        z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
+        for h in hypotheses_for_group(codebooks, z, k=3):
+            cb = codebooks[0] if h.class_id == "A" else codebooks[1]
+            assert np.any(np.all(cb.quats == h.rotation.q, axis=1))
+        for i in (0, 5, len(codebooks[0]) - 1):
+            assert np.array_equal(codebooks[0].rotation(i).q, codebooks[0].quats[i])
+
     def test_k_validation(self, codebooks):
         with pytest.raises(ValueError):
             hypotheses_for_group(codebooks, np.ones(codebooks[0].embeddings.shape[1]), k=0)
@@ -279,9 +346,7 @@ class TestCodebookJson:
         assert back.grid_meta == cb.grid_meta
         assert len(back) == len(cb)
         assert np.allclose(back.embeddings, cb.embeddings, atol=1e-15)
-        assert all(
-            b.isclose(o, 1e-12) for b, o in zip(back.rotations, cb.rotations)
-        )
+        assert np.array_equal(back.quats, cb.quats)
 
     def test_save_is_stable(self, tmp_path, codebooks):
         p1 = tmp_path / "a.json"

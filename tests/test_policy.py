@@ -59,7 +59,8 @@ class TestTrajectoryGrid:
         grid = TrajectoryGrid.evenly_spaced(2, 10)
         rs = build_trajectory_reachable(grid)
         assert rs.generator_meta["kind"] == "trajectory"
-        for i, r in enumerate(rs.rotations):
+        for i in range(len(rs)):
+            r = rs.rotation(i)
             theta = grid.circles[i // grid.steps]
             assert r.view_direction()[2] == pytest.approx(math.cos(theta), abs=1e-12)
             # Trajectory views carry zero in-plane roll.
@@ -79,23 +80,29 @@ class TestTrajectoryGrid:
 class TestReachableSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ReachableSet(())
+            ReachableSet(np.empty((0, 4)))
 
     def test_index_of(self, reachable):
-        r = reachable.rotations[7]
+        r = reachable.rotation(7)
         assert reachable.index_of(r) == 7
         assert reachable.index_of(so3.Rotation.from_quat(-r.q)) == 7
         off = so3.Rotation.from_axis_angle([1, 0, 0], 0.05) @ r
         assert reachable.index_of(off) is None
 
     def test_with_rotation(self, reachable):
-        member = reachable.rotations[0]
+        member = reachable.rotation(0)
         assert reachable.with_rotation(member) is reachable
         extra = so3.look_at([0.0, 0.0, 1.0], 0.7)
         extended = reachable.with_rotation(extra)
         assert len(extended) == len(reachable) + 1
         assert extended.index_of(extra) == len(reachable)
         assert extended.generator_meta["extended"] is True
+
+    def test_rotations_are_rows(self, reachable):
+        for i in range(len(reachable)):
+            assert np.array_equal(reachable.rotation(i).q, reachable.quats[i])
+        extra = so3.look_at([0.0, 0.0, 1.0], 0.7)
+        assert np.array_equal(reachable.with_rotation(extra).quats[-1], extra.q)
 
     def test_sphere_reachable(self):
         rs = build_sphere_reachable(50)
@@ -110,7 +117,7 @@ class TestExpectedAmbiguity:
             PoseHypothesis("A", so3.random_rotation(rng), 0.9),
             PoseHypothesis("B", so3.random_rotation(rng), 0.8),
         ]
-        r = reachable.rotations[3]
+        r = reachable.rotation(3)
         manual = 0.5 * (
             tables["A"].lookup(r.inverse() @ hyps[0].rotation)
             + tables["B"].lookup(r.inverse() @ hyps[1].rotation)
@@ -125,7 +132,7 @@ class TestExpectedAmbiguity:
 class TestNextBestView:
     def test_singleton_reachable(self, tables):
         only = so3.look_at([0.0, 1.0, 0.0])
-        rs = ReachableSet((only,))
+        rs = ReachableSet(only.q[None, :])
         hyp = PoseHypothesis("A", so3.Rotation.identity(), 1.0)
         assert next_best_view([hyp], tables, rs) == only
 
@@ -137,14 +144,16 @@ class TestNextBestView:
                 PoseHypothesis("B", so3.random_rotation(rng), 0.7),
             ]
             best = next_best_view(hyps, tables, reachable)
-            vals = [expected_ambiguity(r, hyps, tables) for r in reachable.rotations]
+            vals = [expected_ambiguity(reachable.rotation(i), hyps, tables)
+                    for i in range(len(reachable))]
             i = int(np.argmin(vals))
-            assert best == reachable.rotations[i]
+            assert best == reachable.rotation(i)
             assert expected_ambiguity(best, hyps, tables) == pytest.approx(min(vals), abs=1e-12)
 
     def test_membership(self, tables, reachable):
         hyp = PoseHypothesis("A", so3.look_at([1.0, 0.0, 0.0]), 1.0)
-        assert next_best_view([hyp], tables, reachable) in reachable.rotations
+        best = next_best_view([hyp], tables, reachable)
+        assert np.any(np.all(reachable.quats == best.q, axis=1))
 
     def test_chosen_views_show_patch(self, pair, tables):
         # With a correct pose hypothesis, the chosen view should expose the
@@ -193,7 +202,7 @@ class TestRunEpisode:
         self, pair, codebooks, tables, clf, reachable
     ):
         # Place the object so the start view is its least ambiguous one.
-        start = reachable.rotations[0]
+        start = reachable.rotation(0)
         true_pose = start @ ambiguity.best_orientation(tables["A"])
         ep = self._run(
             pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=start
@@ -203,7 +212,7 @@ class TestRunEpisode:
         assert ep.correct
 
     def test_hidden_start_moves(self, pair, codebooks, tables, clf, reachable, hidden_rotation):
-        start = reachable.rotations[0]
+        start = reachable.rotation(0)
         true_pose = start @ hidden_rotation
         ep = self._run(
             pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=start
@@ -236,11 +245,13 @@ class TestRunEpisode:
         extended = reachable.with_rotation(ep.start)
         for r in ep.visited:
             assert extended.index_of(r) is not None
+            # Visited views are the reachable rows themselves, bit for bit.
+            assert np.any(np.all(extended.quats == r.q, axis=1))
 
     def test_random_policy_paired_observations(self, pair, codebooks, tables, clf, reachable):
         # Both policies share the first observation stream, so the first
         # ambiguity estimate is identical under the same seed and start.
-        start = reachable.rotations[4]
+        start = reachable.rotation(4)
         nb = self._run(pair, codebooks, tables, clf, reachable,
                        noise_sigma=0.05, seed=9, start=start)
         rd = self._run(pair, codebooks, tables, clf, reachable,
@@ -352,8 +363,8 @@ class TestRunExperiment:
 class TestSuccessWithinBudget:
     def test_prefix_semantics(self, pair, codebooks, tables, clf, reachable):
         ep = EpisodeResult(
-            start=reachable.rotations[0],
-            visited=reachable.rotations[:3],
+            start=reachable.rotation(0),
+            visited=tuple(reachable.rotation(i) for i in range(3)),
             ambiguities=(0.9, 0.6, 0.1),
             predictions=("B", "A", "A"),
             moves_used=2,

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from viewrank import so3
+from viewrank import policy, so3
 from viewrank.so3 import (
     Rotation,
     SphericalDirection,
@@ -30,6 +30,43 @@ unit_quats = st.tuples(
 
 def rotations(draw_quats=unit_quats):
     return draw_quats.map(lambda q: Rotation(*q))
+
+
+def reference_look_at(direction, roll=0.0):
+    """Scalar oracle: ``look_at`` as one ``Rotation`` per call, composed and
+    renormalized step by step (with its half-turn snap near -z)."""
+    d = np.asarray(direction, dtype=float)
+    d = d / math.sqrt(float(d @ d))
+    w = 1.0 + d[2]
+    if w < 1e-12:
+        q = np.array([0.0, 1.0, 0.0, 0.0])
+    else:
+        q = np.array([w, -d[1], d[0], 0.0])
+        q = q / math.sqrt(float(q @ q))
+    base = Rotation.from_quat(q)
+    if roll == 0.0:
+        return base
+    return base @ Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
+
+
+def reference_view_grid(n_dirs, n_inplane):
+    """Scalar oracle for ``build_view_grid``: the per-rotation loop."""
+    rows = []
+    for sd in fibonacci_directions(n_dirs):
+        d = sd.unit_vector()
+        for j in range(n_inplane):
+            rows.append(reference_look_at(d, 2.0 * math.pi * j / n_inplane).q)
+    return np.array(rows)
+
+
+def reference_trajectory(grid):
+    """Scalar oracle for ``policy.build_trajectory_reachable``."""
+    rows = []
+    for theta in grid.circles:
+        for j in range(grid.steps):
+            d = SphericalDirection(theta, 2.0 * math.pi * j / grid.steps).unit_vector()
+            rows.append(reference_look_at(d).q)
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +178,7 @@ class TestBuildViewGrid:
     def test_one_direction_four_rolls(self):
         grid = build_view_grid(1, 4)
         assert len(grid) == 4
-        rolls = sorted(r.roll_angle() % (2.0 * math.pi) for r in grid.rotations)
+        rolls = sorted(grid.rotation(i).roll_angle() % (2.0 * math.pi) for i in range(4))
         assert np.allclose(rolls, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], atol=1e-9)
 
     def test_product_count(self):
@@ -149,7 +186,8 @@ class TestBuildViewGrid:
 
     def test_rotations_map_view_axis_to_direction(self):
         grid = build_view_grid(32, 4)
-        for i, r in enumerate(grid.rotations):
+        for i in range(len(grid)):
+            r = grid.rotation(i)
             d = grid.directions[i // 4].unit_vector()
             assert np.allclose(r.apply(so3.VIEW_AXIS), d, atol=1e-9)
             assert np.allclose(r.view_direction(), d, atol=1e-9)
@@ -161,8 +199,9 @@ class TestBuildViewGrid:
             build_view_grid(4, 0)
 
     def test_orthonormal_positive_determinant(self):
-        for r in build_view_grid(16, 3).rotations:
-            m = r.to_matrix()
+        grid = build_view_grid(16, 3)
+        for i in range(len(grid)):
+            m = grid.rotation(i).to_matrix()
             assert np.allclose(m @ m.T, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(m) - 1.0) < 1e-9
 
@@ -170,9 +209,40 @@ class TestBuildViewGrid:
         grid = build_view_grid(100, 1)
         assert grid.direction_spacing() == pytest.approx(math.sqrt(4 * math.pi / 100))
 
+    @pytest.mark.parametrize("n_dirs,n_inplane", [
+        (1, 1), (1, 4), (2, 3), (7, 5), (92, 36), (512, 1), (1024, 12), (2048, 1),
+    ])
+    def test_matches_scalar_oracle_bit_for_bit(self, n_dirs, n_inplane):
+        grid = build_view_grid(n_dirs, n_inplane)
+        assert np.array_equal(grid.quats, reference_view_grid(n_dirs, n_inplane))
+
+    @pytest.mark.parametrize("circles,steps", [(1, 1), (3, 8), (4, 16), (3, 128)])
+    def test_trajectory_matches_scalar_oracle_bit_for_bit(self, circles, steps):
+        grid = policy.TrajectoryGrid.evenly_spaced(circles, steps)
+        reachable = policy.build_trajectory_reachable(grid)
+        assert np.array_equal(reachable.quats, reference_trajectory(grid))
+
+    def test_rotation_rows_kept_bit_for_bit(self):
+        grid = build_view_grid(64, 6)
+        for i in range(len(grid)):
+            assert np.array_equal(grid.rotation(i).q, grid.quats[i])
+
+    def test_quats_read_only(self):
+        grid = build_view_grid(8, 2)
+        with pytest.raises(ValueError):
+            grid.quats[0, 0] = 1.0
+
+    def test_non_unit_rows_rejected(self):
+        with pytest.raises(ValueError):
+            so3.ViewGrid(quats=np.full((2, 4), 0.6), directions=(), n_dirs=2, n_inplane=1)
+        with pytest.raises(ValueError):
+            so3.ViewGrid(quats=np.zeros((2, 3)), directions=(), n_dirs=2, n_inplane=1)
+
 
 class TestLookAt:
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 6.28))
+    @example(0.0, 1e-9, -0.5, 0.0)
+    @example(-3e-7, 2e-7, -1.0, 1.0)
     def test_roll_preserves_direction(self, x, y, z, roll):
         d = np.array([x, y, z])
         n = np.linalg.norm(d)
@@ -190,6 +260,25 @@ class TestLookAt:
     def test_antipodal_direction(self):
         r = look_at([0.0, 0.0, -1.0])
         assert np.allclose(r.view_direction(), [0, 0, -1], atol=1e-9)
+        assert np.array_equal(r.q, [0.0, 1.0, 0.0, 0.0])
+
+    def test_near_antipodal_direction_not_snapped(self):
+        # 1 + d_z cancels to 0 here; the direction must still be honoured.
+        v = look_at((0.0, 1e-9, -0.5)).view_direction()
+        assert v[1] == pytest.approx(2e-9, rel=1e-6)
+        assert v[0] == 0.0 and v[2] == pytest.approx(-1.0, abs=1e-15)
+        # Components whose squares underflow still give a finite rotation.
+        r = look_at((1e-170, 0.0, -1.0))
+        assert np.all(np.isfinite(r.q))
+        assert np.allclose(r.view_direction(), [0, 0, -1], atol=1e-15)
+
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 6.28))
+    def test_matches_scalar_oracle_bit_for_bit(self, x, y, z, roll):
+        d = np.array([x, y, z])
+        n = math.sqrt(float(d @ d))
+        if n < 1e-3 or 1.0 + z / n < 1e-12:
+            return  # the oracle snaps near -z, where look_at is exact
+        assert np.array_equal(look_at(d, roll).q, reference_look_at(d, roll).q)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -252,10 +341,11 @@ class TestVectorizedHelpers:
 
     def test_view_directions_and_rolls_match_scalar(self):
         grid = build_view_grid(24, 5)
-        q = grid.quat_array()
+        q = grid.quats
         dirs = so3.view_directions(q)
         rolls = so3.roll_angles(q)
-        for i, r in enumerate(grid.rotations):
+        for i in range(len(grid)):
+            r = grid.rotation(i)
             assert np.allclose(dirs[i], r.view_direction(), atol=1e-12)
             assert math.cos(rolls[i]) == pytest.approx(math.cos(r.roll_angle()), abs=1e-9)
             assert math.sin(rolls[i]) == pytest.approx(math.sin(r.roll_angle()), abs=1e-9)

@@ -113,6 +113,18 @@ class TestRenderEmbedding:
         for i, r in enumerate(rots):
             assert np.allclose(batch[i], render_embedding(a, r), atol=1e-12)
 
+    @pytest.mark.parametrize("extra", [1, synthworld._RENDER_CHUNK // 2,
+                                       synthworld._RENDER_CHUNK])
+    def test_blocked_render_matches_single_call(self, pair, extra):
+        # N = chunk + 1 and N = 2 chunk, plus a trailing block of half a chunk.
+        a, _ = pair
+        q = np.random.default_rng(12).normal(size=(synthworld._RENDER_CHUNK + extra, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        v = so3.view_directions(q)
+        w = np.clip(v @ a.positions.T, 0.0, None) ** 2
+        single = synthworld._mix_pairs(w @ a.descriptors, so3.roll_angles(q, v))
+        assert np.array_equal(render_embeddings(a, q), single)
+
     def test_hidden_patch_views_identical(self, pair):
         # When no differing blob is visible, the twins render bitwise equal.
         a, b = pair
@@ -214,7 +226,7 @@ class TestMeanEmbeddingNorm:
     def test_matches_direct_average(self, pair):
         a, _ = pair
         grid = so3.build_view_grid(256, 1)
-        z = render_embeddings(a, grid.quat_array())
+        z = render_embeddings(a, grid.quats)
         assert mean_embedding_norm(a) == pytest.approx(
             float(np.mean(np.linalg.norm(z, axis=1))), rel=1e-12
         )
