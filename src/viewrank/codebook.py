@@ -1,9 +1,8 @@
 """Per-object embedding codebooks and cosine-similarity pose queries.
 
 A codebook stores one unit-normalized embedding per view-grid rotation.
-Queries are exact exhaustive scans (a single matrix-vector product and a
-linear-time selection); ties resolve to the lowest entry index so results
-are reproducible.
+Queries are exact exhaustive scans (a single matrix-vector product); ties
+resolve to the lowest entry index so results are reproducible.
 """
 
 from __future__ import annotations
@@ -104,8 +103,8 @@ class Codebook:
     def scores(self, z: np.ndarray) -> np.ndarray:
         zu = np.asarray(z, dtype=float)
         n = float(np.linalg.norm(zu))
-        if n == 0.0 or not math.isfinite(n):
-            raise ValueError("cannot query a codebook with a zero-norm or non-finite embedding")
+        if n == 0.0:
+            raise ValueError("cannot query a codebook with a zero-norm embedding")
         return self.embeddings @ (zu / n)
 
     def to_json(self) -> dict:
@@ -162,22 +161,18 @@ def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
 
 
 def _top_k(s: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest scores, in the order of the stable
-    ``argsort(-s)``: by score descending, ties by lowest index."""
+    """Indices of the ``k`` largest scores, by score descending with ties by
+    lowest index: ``argmax`` for ``k = 1``, else the stable ``argsort(-s)``."""
     if k == 1:
         return np.array([np.argmax(s)])
-    if k >= len(s):
-        return np.argsort(-s, kind="stable")
-    kth = s[np.argpartition(-s, k - 1)[k - 1]]
-    cand = np.flatnonzero(s >= kth)  # every score tied with the k-th, in index order
-    return cand[np.argsort(-s[cand], kind="stable")[:k]]
+    return np.argsort(-s, kind="stable")[:k]
 
 
 def hypotheses_for_group(codebooks, z: np.ndarray, k: int = 1) -> list:
     """Top-k entries per in-group class, merged and sorted by score descending.
 
-    Each class is one score scan and a linear-time selection (``argmax`` for
-    ``k = 1``), with ties going to the lowest entry index.
+    Each class is one score scan; ``k = 1`` takes a linear-time ``argmax``.
+    Ties go to the lowest entry index.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

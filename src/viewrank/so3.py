@@ -145,16 +145,20 @@ class SphericalDirection:
 
 
 def as_unit_quats(quats) -> np.ndarray:
-    """Read-only ``(N, 4)`` array of unit quaternion rows (``N`` may be 0).
+    """Read-only ``(N, 4)`` array of unit, canonical quaternion rows (``N``
+    may be 0), as ``Rotation`` holds them.
 
-    A read-only float array is returned as is, so rotation sets built from
-    one another share their rows.
+    Rows are checked, not changed: a row must have unit norm (within 1e-9)
+    and a positive first nonzero component.  A read-only float array is
+    returned as is, so rotation sets built from one another share their rows.
     """
     q = np.asarray(quats, dtype=float)
     if q.ndim != 2 or q.shape[1] != 4:
         raise ValueError(f"quaternions must form an (N, 4) array, got shape {q.shape}")
     if not np.all(np.abs(np.sqrt(np.vecdot(q, q)) - 1.0) <= _UNIT_TOL):
         raise ValueError("quaternion rows must have unit norm")
+    if np.any(q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)] < 0.0):
+        raise ValueError("quaternion rows must be canonical (first nonzero component positive)")
     if q.flags.writeable:
         q = q.copy()
         q.flags.writeable = False

@@ -82,6 +82,11 @@ class TestReachableSet:
         with pytest.raises(ValueError):
             ReachableSet(np.empty((0, 4)))
 
+    def test_non_canonical_row_rejected(self):
+        with pytest.raises(ValueError, match="canonical"):
+            ReachableSet(np.array([[-1.0, 0.0, 0.0, 0.0]]))
+        assert ReachableSet(np.array([[1.0, 0.0, 0.0, 0.0]])).rotation(0) == so3.Rotation.identity()
+
     def test_index_of(self, reachable):
         r = reachable.rotation(7)
         assert reachable.index_of(r) == 7

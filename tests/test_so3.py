@@ -238,6 +238,14 @@ class TestBuildViewGrid:
         with pytest.raises(ValueError):
             so3.ViewGrid(quats=np.zeros((2, 3)), directions=(), n_dirs=2, n_inplane=1)
 
+    @pytest.mark.parametrize("row", [(-1.0, 0.0, 0.0, 0.0), (0.0, -0.6, 0.8, 0.0),
+                                     (0.0, 0.0, 0.0, -1.0)])
+    def test_non_canonical_rows_rejected(self, row):
+        with pytest.raises(ValueError, match="canonical"):
+            so3.as_unit_quats([(1.0, 0.0, 0.0, 0.0), row])
+        flipped = so3.as_unit_quats([tuple(-c for c in row)])
+        assert so3.Rotation.wrap(flipped[0]) == so3.Rotation.from_quat(row)
+
 
 class TestLookAt:
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 6.28))
