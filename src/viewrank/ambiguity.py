@@ -108,14 +108,21 @@ class AmbiguityTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "AmbiguityTable":
+        """Inverse of ``to_json``; rotations load bit for bit, and a row that
+        is not a unit, canonical quaternion is refused."""
+        rows = data["pairs"]
+        r_a, r_b = (
+            as_unit_quats(np.array([p[key] for p in rows], dtype=float).reshape(len(rows), 4))
+            for key in ("r_a", "r_b")
+        )
         pairs = tuple(
             MatchedPair(
                 similarity=float(p["similarity"]),
-                r_a=Rotation.from_quat(p["r_a"]),
-                r_b=Rotation.from_quat(p["r_b"]),
+                r_a=Rotation.wrap(qa),
+                r_b=Rotation.wrap(qb),
                 matched_class=p["matched_class"],
             )
-            for p in data["pairs"]
+            for p, qa, qb in zip(rows, r_a, r_b)
         )
         return cls(
             object_class=data["object_class"],

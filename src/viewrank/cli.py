@@ -7,7 +7,10 @@ Subcommands::
     viewrank simulate  paired next-best/random episodes + success-vs-budget CSV
     viewrank compare   metric correlations + noise-robustness CSV
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration error.
+Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The whole
+manifest is checked before any work, and a command writes its outputs into a
+temporary sibling of ``--out`` that is moved into place only on success, so a
+failed command changes no file in ``--out``.
 All randomness derives from the manifest seed; reruns are byte-identical.
 ``--threads`` is accepted (and must be >= 1) but changes neither speed nor
 output.
@@ -20,7 +23,10 @@ import csv
 import hashlib
 import json
 import logging
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import ambiguity, baselines, classify, manifest, policy, seeding, so3
@@ -219,8 +225,15 @@ def main(argv=None) -> int:
     try:
         out: Path = args.out
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](m, out, args.threads)
-        manifest.save(m, out / "manifest.resolved.json")
+        target = out.resolve()
+        staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+        try:
+            _COMMANDS[args.command](m, staging, args.threads)
+            manifest.save(m, staging / "manifest.resolved.json")
+            for path in sorted(staging.iterdir()):
+                os.replace(path, out / path.name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except Exception as e:  # noqa: BLE001 - CLI boundary
         log.exception("command failed") if args.verbose else None
         print(f"viewrank: error: {e}", file=sys.stderr)

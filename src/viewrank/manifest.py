@@ -1,17 +1,23 @@
 """Experiment manifests: one JSON document that pins every output byte.
 
-Manifests are validated strictly: unknown fields, wrong types and
-out-of-range values are rejected with their path, a field given twice is
-rejected by name, missing fields take documented defaults, and the resolved
-(fully materialized) manifest is written beside every command's outputs so a
-rerun from that copy reproduces them byte for byte.
+Every leaf field has one row in ``FIELDS``: its default, its type and the
+values it allows.  ``resolve`` checks the whole manifest against that table
+before any work is done, so an unknown field, a wrong type or an
+out-of-range value, even in a field the command does not use, is a
+configuration error (the CLI exits 2 and writes nothing) that names its path.
+A field given twice is rejected by name, and missing fields take their
+defaults.  The resolved (fully materialized) manifest is written beside every
+command's outputs so a rerun from that copy reproduces them byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from copy import deepcopy
+
+from .baselines import METRIC_NAMES
 
 SCHEMA_VERSION = 1
 
@@ -20,104 +26,86 @@ class ManifestError(ValueError):
     """Invalid manifest content; message carries the offending field path."""
 
 
-DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "world": {
-        "n_blobs": 512,
-        "descriptor_dim": 32,
-        "patch_center": [1.0, 0.0, 0.0],
-        "patch_radius": math.pi / 3.0,
-        "group_id": "pair-0",
-    },
-    "codebook": {
-        "n_dirs": 4096,
-        "n_inplane": 36,
-    },
-    "ranking": {
-        "coarse_dirs": 512,
-        "descent_steps": 32,
-    },
-    "sweep": {
-        "thresholds": [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0],
-        "caps": [0.25, 0.5, 0.75, 1.0],
-        "trials": 10,
-        "eval_samples": 100,
-        "samples_per_rotation": 1,
-        "noise_factor": 0.5,
-        "train_rotations_per_class": 8,
-    },
-    "policy": {
-        "episodes": 230,
-        "threshold": 0.4,
-        "max_moves": 3,
-        "noise_factor": 0.05,
-        "train_threshold": 0.5,
-        "reachable": {
-            "kind": "trajectory",
-            "circles": 5,
-            "steps": 32,
-            "sphere_dirs": 512,
-        },
-    },
-    "compare": {
-        "metrics": ["primary", "mse", "blob_match"],
-        "sigmas": [0.0, 0.5, 1.0, 2.0],
-    },
+_NUMBER = (int, float)
+
+
+def _is_a(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _finite(v) -> bool:
+    """A number a float holds finitely; an int too large for a float is not."""
+    return _is_a(v, _NUMBER) and -sys.float_info.max <= v <= sys.float_info.max
+
+
+def _at_least(lo):
+    return lambda v: v >= lo, f">= {lo}"
+
+
+_FINITE_NONNEGATIVE = (lambda v: _finite(v) and v >= 0, "finite and >= 0")
+_OPEN_UNIT = (lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_UNIT_LIST = (lambda v: all(_is_a(x, _NUMBER) and 0.0 <= x <= 1.0 for x in v),
+              "a list of numbers in [0, 1]")
+
+# One row per leaf field, keyed by its dotted path:
+# (default, type, allowed-values test or None, what the test asks).
+# A number field accepts int and float; bool is never an int or a number.
+FIELDS = {
+    "schema_version": (SCHEMA_VERSION, int, lambda v: v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
+    "seed": (0, int, None, None),
+    "world.n_blobs": (512, int, *_at_least(4)),
+    "world.descriptor_dim": (32, int, lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+    "world.patch_center": (
+        [1.0, 0.0, 0.0], list,
+        lambda v: len(v) == 3 and all(map(_finite, v))
+        and 0.0 < sum(float(x) * float(x) for x in v) < math.inf,
+        "3 numbers with a finite, nonzero norm"),
+    "world.patch_radius": (
+        math.pi / 3.0, _NUMBER, lambda v: 0.0 < v < math.pi / 2.0, "in (0, pi/2)"),
+    "world.group_id": ("pair-0", str, None, None),
+    "codebook.n_dirs": (4096, int, *_at_least(1)),
+    "codebook.n_inplane": (36, int, *_at_least(1)),
+    "ranking.coarse_dirs": (512, int, *_at_least(1)),
+    "ranking.descent_steps": (32, int, *_at_least(0)),
+    "sweep.thresholds": ([0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0], list, *_UNIT_LIST),
+    "sweep.caps": ([0.25, 0.5, 0.75, 1.0], list, *_UNIT_LIST),
+    "sweep.trials": (10, int, *_at_least(1)),
+    "sweep.eval_samples": (100, int, *_at_least(1)),
+    "sweep.samples_per_rotation": (1, int, *_at_least(1)),
+    "sweep.noise_factor": (0.5, _NUMBER, *_FINITE_NONNEGATIVE),
+    "sweep.train_rotations_per_class": (8, int, *_at_least(1)),
+    "policy.episodes": (230, int, *_at_least(1)),
+    "policy.threshold": (0.4, _NUMBER, *_OPEN_UNIT),
+    "policy.max_moves": (3, int, *_at_least(0)),
+    "policy.noise_factor": (0.05, _NUMBER, *_FINITE_NONNEGATIVE),
+    "policy.train_threshold": (0.5, _NUMBER, *_OPEN_UNIT),
+    "policy.reachable.kind": (
+        "trajectory", str, lambda v: v in ("trajectory", "sphere"), "'trajectory' or 'sphere'"),
+    "policy.reachable.circles": (5, int, *_at_least(1)),
+    "policy.reachable.steps": (32, int, *_at_least(1)),
+    "policy.reachable.sphere_dirs": (512, int, *_at_least(1)),
+    "compare.metrics": (
+        list(METRIC_NAMES), list, lambda v: all(x in METRIC_NAMES for x in v),
+        f"a list of names from {', '.join(METRIC_NAMES)}"),
+    "compare.sigmas": (
+        [0.0, 0.5, 1.0, 2.0], list,
+        lambda v: len(v) > 0 and all(_finite(x) and x >= 0 for x in v),
+        "a nonempty list of finite numbers >= 0"),
 }
 
-_NUMERIC = (int, float)
 
-_TYPES = {
-    ("schema_version",): int,
-    ("seed",): int,
-    ("world", "n_blobs"): int,
-    ("world", "descriptor_dim"): int,
-    ("world", "patch_center"): list,
-    ("world", "patch_radius"): _NUMERIC,
-    ("world", "group_id"): str,
-    ("codebook", "n_dirs"): int,
-    ("codebook", "n_inplane"): int,
-    ("ranking", "coarse_dirs"): int,
-    ("ranking", "descent_steps"): int,
-    ("sweep", "thresholds"): list,
-    ("sweep", "caps"): list,
-    ("sweep", "trials"): int,
-    ("sweep", "eval_samples"): int,
-    ("sweep", "samples_per_rotation"): int,
-    ("sweep", "noise_factor"): _NUMERIC,
-    ("sweep", "train_rotations_per_class"): int,
-    ("policy", "episodes"): int,
-    ("policy", "threshold"): _NUMERIC,
-    ("policy", "max_moves"): int,
-    ("policy", "noise_factor"): _NUMERIC,
-    ("policy", "train_threshold"): _NUMERIC,
-    ("policy", "reachable", "kind"): str,
-    ("policy", "reachable", "circles"): int,
-    ("policy", "reachable", "steps"): int,
-    ("policy", "reachable", "sphere_dirs"): int,
-    ("compare", "metrics"): list,
-    ("compare", "sigmas"): list,
-}
+def _nested(flat: dict) -> dict:
+    out = {}
+    for path, value in flat.items():
+        *sections, leaf = path.split(".")
+        node = out
+        for key in sections:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    return out
 
-# Allowed values, checked after the types: path -> (test, what the test asks).
-# Checked up front so that a bad value is a configuration error, not a failure
-# after set-up.
-_RANGES = {
-    ("schema_version",): (lambda v: v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
-    ("world", "n_blobs"): (lambda v: v >= 4, ">= 4"),
-    ("world", "descriptor_dim"): (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
-    ("world", "patch_center"): (lambda v: len(v) == 3, "a list of 3 components"),
-    ("world", "patch_radius"): (lambda v: 0.0 < v < math.pi / 2.0, "in (0, pi/2)"),
-    ("codebook", "n_dirs"): (lambda v: v >= 1, ">= 1"),
-    ("codebook", "n_inplane"): (lambda v: v >= 1, ">= 1"),
-    ("ranking", "coarse_dirs"): (lambda v: v >= 1, ">= 1"),
-    ("ranking", "descent_steps"): (lambda v: v >= 0, ">= 0"),
-    ("sweep", "noise_factor"): (lambda v: v >= 0, ">= 0"),
-    ("policy", "noise_factor"): (lambda v: v >= 0, ">= 0"),
-    ("policy", "reachable", "kind"): (
-        lambda v: v in ("trajectory", "sphere"), "'trajectory' or 'sphere'"),
-}
+
+DEFAULTS = _nested({path: row[0] for path, row in FIELDS.items()})
 
 
 def _merge(defaults, data, path=""):
@@ -135,37 +123,18 @@ def _merge(defaults, data, path=""):
     return out
 
 
-def _check_types(resolved, path=()):
-    for key, value in resolved.items():
-        where = path + (key,)
-        if isinstance(value, dict):
-            _check_types(value, where)
-            continue
-        expected = _TYPES.get(where)
-        if expected is None:
-            continue
-        if expected is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        else:
-            ok = isinstance(value, expected) and not isinstance(value, bool)
-        if not ok:
-            raise ManifestError(f"{'.'.join(where)}: expected {getattr(expected, '__name__', 'number')}")
-
-
-def _check_ranges(resolved):
-    for where, (ok, allowed) in _RANGES.items():
-        value = resolved
-        for key in where:
-            value = value[key]
-        if not ok(value):
-            raise ManifestError(f"{'.'.join(where)}: must be {allowed}, got {value!r}")
-
-
 def resolve(data: dict | None) -> dict:
-    """Merge user fields over the defaults and validate the result."""
+    """Merge user fields over the defaults and check every field's type and
+    range against ``FIELDS``."""
     resolved = _merge(DEFAULTS, data or {})
-    _check_types(resolved)
-    _check_ranges(resolved)
+    for path, (_, kind, ok, allowed) in FIELDS.items():
+        value = resolved
+        for key in path.split("."):
+            value = value[key]
+        if not _is_a(value, kind):
+            raise ManifestError(f"{path}: expected {getattr(kind, '__name__', 'number')}")
+        if ok is not None and not ok(value):
+            raise ManifestError(f"{path}: must be {allowed}, got {value!r}")
     return resolved
 
 

@@ -148,9 +148,13 @@ class EpisodeResult:
 
     @classmethod
     def from_json(cls, data: dict) -> "EpisodeResult":
+        """Inverse of ``to_json``; rotations load bit for bit, and a row that
+        is not a unit, canonical quaternion is refused."""
+        rows = [data["start"], *data["visited"]]
+        quats = so3.as_unit_quats(np.array(rows, dtype=float).reshape(len(rows), 4))
         return cls(
-            start=Rotation.from_quat(data["start"]),
-            visited=tuple(Rotation.from_quat(q) for q in data["visited"]),
+            start=Rotation.wrap(quats[0]),
+            visited=tuple(Rotation.wrap(q) for q in quats[1:]),
             ambiguities=tuple(data["ambiguities"]),
             predictions=tuple(data["predictions"]),
             moves_used=data["moves_used"],

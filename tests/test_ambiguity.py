@@ -368,8 +368,11 @@ class TestTableQueries:
         flipped = so3.Rotation.from_quat(-r.q)
         assert t.nearest_index(flipped) == 5
 
-    def test_json_roundtrip(self, tmp_path, tables):
-        t = tables["A"]
+    def test_json_roundtrip(self, tmp_path, pair, codebooks):
+        # 512 views: renormalizing on load would move the last bits of 3
+        # r_a rows and 38 r_b rows of this table.
+        a, b = pair
+        t = rank_object(a, [b], [codebooks[1]], so3.build_view_grid(512, 1), 4)
         path = tmp_path / "table.json"
         t.save(path)
         back = AmbiguityTable.load(path)
@@ -378,9 +381,15 @@ class TestTableQueries:
         assert np.allclose(back.ambiguity, t.ambiguity, atol=1e-15)
         assert np.allclose(back.raw_similarity, t.raw_similarity, atol=1e-15)
         assert all(
-            p1.r_a.isclose(p2.r_a, 1e-12) and p1.matched_class == p2.matched_class
+            np.array_equal(p1.r_a.q, p2.r_a.q) and np.array_equal(p1.r_b.q, p2.r_b.q)
+            and p1.matched_class == p2.matched_class
             for p1, p2 in zip(back.pairs, t.pairs)
         )
+        for bad in ([-q for q in t.pairs[0].r_b.q], [2.0, 0.0, 0.0, 0.0]):
+            data = t.to_json()
+            data["pairs"][0]["r_b"] = bad
+            with pytest.raises(ValueError):
+                AmbiguityTable.from_json(data)
 
     def test_length_mismatch_rejected(self, tables):
         t = tables["A"]

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from viewrank import cli
+from viewrank import baselines, cli
 from viewrank.ambiguity import AmbiguityTable
 
 SMALL_MANIFEST = {
@@ -190,6 +190,28 @@ class TestErrors:
         '{"world": {"patch_radius": 2.0}}',
         '{"world": {"descriptor_dim": 31}}',
         '{"seed": 1, "seed": 2}',
+        '{"policy": {"threshold": 0.0}}',
+        '{"policy": {"train_threshold": 0.0}}',
+        '{"policy": {"episodes": 0}}',
+        '{"policy": {"max_moves": -1}}',
+        '{"policy": {"noise_factor": Infinity}}',
+        '{"policy": {"reachable": {"circles": 0}}}',
+        '{"policy": {"reachable": {"steps": 0}}}',
+        '{"policy": {"reachable": {"kind": "sphere", "sphere_dirs": 0}}}',
+        '{"policy": {"reachable": {"kind": "trajectory", "sphere_dirs": 0}}}',
+        '{"sweep": {"trials": 0}}',
+        '{"sweep": {"eval_samples": 0}}',
+        '{"sweep": {"samples_per_rotation": 0}}',
+        '{"sweep": {"train_rotations_per_class": 0}}',
+        '{"sweep": {"thresholds": [1.5]}}',
+        '{"sweep": {"caps": ["x"]}}',
+        '{"sweep": {"noise_factor": Infinity}}',
+        '{"compare": {"metrics": ["x"]}}',
+        '{"compare": {"sigmas": []}}',
+        '{"compare": {"sigmas": [-1]}}',
+        '{"compare": {"sigmas": [Infinity]}}',
+        '{"world": {"patch_center": [0, 0, 0]}}',
+        '{"world": {"patch_center": [1e200, 1e200, 0]}}',
     ])
     def test_out_of_range_or_duplicate_exits_2(self, tmp_path, text):
         bad = tmp_path / "bad.json"
@@ -197,6 +219,18 @@ class TestErrors:
         out = tmp_path / "out"
         assert run(bad, out, "rank") == 2
         assert not out.exists()
+
+    def test_failed_command_leaves_no_outputs(self, tmp_path, manifest_path, monkeypatch):
+        # The sweep runs after the metric CSVs are written; its failure must
+        # leave neither those CSVs nor the staging directory behind.
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(baselines, "noise_robustness_sweep", fail)
+        out = tmp_path / "out"
+        assert run(manifest_path, out, "compare") == 1
+        assert list(out.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.json", tmp_path / "out", "rank") == 2

@@ -2,11 +2,140 @@
 
 import json
 import math
+import re
+import sys
 
 import pytest
 
 from viewrank import manifest
 from viewrank.manifest import ManifestError, load, resolve, save
+
+INF = float("inf")
+NAN = float("nan")
+BIG = sys.float_info.max
+
+
+def nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def leaf(m, path):
+    for key in path.split("."):
+        m = m[key]
+    return m
+
+
+# (section, field, value); section "" is the top level.
+OUT_OF_RANGE = [
+    ("ranking", "descent_steps", -1),
+    ("ranking", "coarse_dirs", 0),
+    ("codebook", "n_dirs", 0),
+    ("codebook", "n_inplane", 0),
+    ("world", "patch_radius", 2.0),
+    ("world", "patch_radius", 0.0),
+    ("world", "patch_radius", math.pi / 2.0),
+    ("world", "patch_radius", float("nan")),
+    ("world", "descriptor_dim", 31),
+    ("world", "descriptor_dim", 0),
+    ("world", "n_blobs", 3),
+    ("", "schema_version", 0),
+    ("", "schema_version", 2),
+    ("world", "patch_center", [0, 0, 0]),
+    ("world", "patch_center", [1.0, 0.0]),
+    ("world", "patch_center", [1.0, 0.0, 0.0, 0.0]),
+    ("world", "patch_center", [INF, 0.0, 0.0]),
+    ("world", "patch_center", [NAN, 1.0, 0.0]),
+    ("world", "patch_center", [1, "x", 0]),
+    ("world", "patch_center", [10**400, 0, 0]),  # an int no float holds
+    ("world", "patch_center", [1e200, 1e200, 0.0]),  # the norm overflows
+    ("world", "patch_center", [1e-200, 0.0, 0.0]),  # the norm underflows to 0
+    ("sweep", "thresholds", [1.5]),
+    ("sweep", "thresholds", [0.5, -1e-9]),
+    ("sweep", "thresholds", ["x"]),
+    ("sweep", "thresholds", [NAN]),
+    ("sweep", "caps", [1.0 + 1e-9]),
+    ("sweep", "caps", [True]),
+    ("sweep", "trials", 0),
+    ("sweep", "eval_samples", 0),
+    ("sweep", "samples_per_rotation", 0),
+    ("sweep", "train_rotations_per_class", 0),
+    ("sweep", "noise_factor", INF),
+    ("policy", "episodes", 0),
+    ("policy", "threshold", 0.0),
+    ("policy", "threshold", 1.0 + 1e-9),
+    ("policy", "threshold", NAN),
+    ("policy", "max_moves", -1),
+    ("policy", "noise_factor", INF),
+    ("policy", "train_threshold", 0.0),
+    ("policy", "train_threshold", 1.5),
+    ("policy.reachable", "kind", "teleport"),
+    ("policy.reachable", "circles", 0),
+    ("policy.reachable", "steps", 0),
+    ("policy.reachable", "sphere_dirs", 0),
+    ("compare", "metrics", ["x"]),
+    ("compare", "metrics", ["primary", "MSE"]),
+    ("compare", "sigmas", []),
+    ("compare", "sigmas", [0.0, -1.0]),
+    ("compare", "sigmas", [INF]),
+    ("compare", "sigmas", [NAN]),
+    ("compare", "sigmas", ["x"]),
+]
+
+IN_RANGE = [
+    ("ranking", "descent_steps", 0),
+    ("ranking", "coarse_dirs", 1),
+    ("codebook", "n_dirs", 1),
+    ("codebook", "n_inplane", 1),
+    ("world", "patch_radius", 1e-3),
+    ("world", "patch_radius", 1.5),
+    ("world", "descriptor_dim", 2),
+    ("world", "n_blobs", 4),
+    ("", "schema_version", 1),
+    ("world", "patch_center", [0, 0, -1]),
+    ("world", "patch_center", [1e150, 1e150, 0.0]),
+    ("world", "patch_center", [1e-150, 0.0, 0.0]),
+    ("sweep", "thresholds", [0, 1.0]),
+    ("sweep", "thresholds", []),
+    ("sweep", "caps", [0.0, 1]),
+    ("sweep", "trials", 1),
+    ("sweep", "eval_samples", 1),
+    ("sweep", "samples_per_rotation", 1),
+    ("sweep", "train_rotations_per_class", 1),
+    ("sweep", "noise_factor", BIG),
+    ("policy", "episodes", 1),
+    ("policy", "threshold", 1e-9),
+    ("policy", "threshold", 1),
+    ("policy", "max_moves", 0),
+    ("policy", "noise_factor", 0),
+    ("policy", "train_threshold", 1.0),
+    ("policy.reachable", "kind", "sphere"),
+    ("policy.reachable", "circles", 1),
+    ("policy.reachable", "steps", 1),
+    ("policy.reachable", "sphere_dirs", 1),
+    ("compare", "metrics", []),
+    ("compare", "metrics", ["blob_match", "primary"]),
+    ("compare", "sigmas", [0]),
+    ("compare", "sigmas", [0.0, BIG]),
+]
+
+
+def path_of(section, field):
+    return f"{section}.{field}" if section else field
+
+
+@pytest.mark.parametrize("path", list(manifest.FIELDS))
+def test_schema_row(path):
+    default, _, ok, _ = manifest.FIELDS[path]
+    assert leaf(manifest.DEFAULTS, path) == default
+    assert leaf(resolve(nested(path, default)), path) == default
+    wrong = 1 if isinstance(default, str) else "x"
+    with pytest.raises(ManifestError, match=f"^{re.escape(path)}: expected"):
+        resolve(nested(path, wrong))
+    if ok is not None:
+        assert path in {path_of(s, f) for s, f, _ in OUT_OF_RANGE}
+        assert path in {path_of(s, f) for s, f, _ in IN_RANGE}
 
 
 class TestResolve:
@@ -68,35 +197,16 @@ class TestResolve:
                 resolve({section: {"noise_factor": float("nan")}})
             assert resolve({section: {"noise_factor": 0}})[section]["noise_factor"] == 0
 
-    @pytest.mark.parametrize("section, field, value", [
-        ("ranking", "descent_steps", -1),
-        ("ranking", "coarse_dirs", 0),
-        ("codebook", "n_dirs", 0),
-        ("codebook", "n_inplane", 0),
-        ("world", "patch_radius", 2.0),
-        ("world", "patch_radius", 0.0),
-        ("world", "patch_radius", math.pi / 2.0),
-        ("world", "patch_radius", float("nan")),
-        ("world", "descriptor_dim", 31),
-        ("world", "descriptor_dim", 0),
-        ("world", "n_blobs", 3),
-    ])
+    @pytest.mark.parametrize("section, field, value", OUT_OF_RANGE)
     def test_out_of_range_rejected(self, section, field, value):
-        with pytest.raises(ManifestError, match=f"{section}.{field}: must be"):
-            resolve({section: {field: value}})
+        path = path_of(section, field)
+        with pytest.raises(ManifestError, match=f"^{re.escape(path)}: must be"):
+            resolve(nested(path, value))
 
-    @pytest.mark.parametrize("section, field, value", [
-        ("ranking", "descent_steps", 0),
-        ("ranking", "coarse_dirs", 1),
-        ("codebook", "n_dirs", 1),
-        ("codebook", "n_inplane", 1),
-        ("world", "patch_radius", 1e-3),
-        ("world", "patch_radius", 1.5),
-        ("world", "descriptor_dim", 2),
-        ("world", "n_blobs", 4),
-    ])
+    @pytest.mark.parametrize("section, field, value", IN_RANGE)
     def test_range_edges_accepted(self, section, field, value):
-        assert resolve({section: {field: value}})[section][field] == value
+        path = path_of(section, field)
+        assert leaf(resolve(nested(path, value)), path) == value
 
 
 class TestLoadSave:

@@ -272,9 +272,16 @@ class TestRunEpisode:
         with pytest.raises(ValueError):
             self._run(pair, codebooks, tables, clf, reachable, policy="greedy")
 
-    def test_json_roundtrip(self, pair, codebooks, tables, clf, reachable):
-        ep = self._run(pair, codebooks, tables, clf, reachable, noise_sigma=0.05, seed=2)
-        back = EpisodeResult.from_json(json.loads(json.dumps(ep.to_json())))
+    def test_json_roundtrip(self, pair, codebooks, tables, clf):
+        # Start on a row of the 512-view grid that renormalizing on load
+        # would move.
+        sphere = build_sphere_reachable(512)
+        moved = next(i for i, q in enumerate(sphere.quats)
+                     if not np.array_equal(so3.Rotation.from_quat(q).q, q))
+        ep = self._run(pair, codebooks, tables, clf, sphere, noise_sigma=0.05, seed=2,
+                       start=sphere.rotation(moved))
+        data = json.loads(json.dumps(ep.to_json()))
+        back = EpisodeResult.from_json(data)
         assert back.true_class == ep.true_class
         assert back.predicted_class == ep.predicted_class
         assert back.predictions == ep.predictions
@@ -282,7 +289,11 @@ class TestRunEpisode:
         assert back.terminated_reason == ep.terminated_reason
         assert back.correct == ep.correct
         assert np.allclose(back.ambiguities, ep.ambiguities, atol=1e-15)
-        assert all(b.isclose(o, 1e-12) for b, o in zip(back.visited, ep.visited))
+        assert np.array_equal(back.start.q, ep.start.q)
+        assert all(np.array_equal(b.q, o.q) for b, o in zip(back.visited, ep.visited))
+        data["visited"][-1] = [-c for c in data["visited"][-1]]
+        with pytest.raises(ValueError):
+            EpisodeResult.from_json(data)
 
 
 @pytest.fixture(scope="module")
