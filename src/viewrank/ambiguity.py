@@ -47,31 +47,41 @@ class MatchedPair:
 class AmbiguityTable:
     """Matched pairs sorted by similarity descending, with normalized ambiguity.
 
-    ``r_a_quats`` is the ``(N, 4)`` array of the pairs' ``r_a``, built once;
-    lookups scan it.
+    ``pairs`` is the only row input.  Its fields are also held as read-only
+    columns, built once from it: ``raw_similarity`` ``(N,)``, ``r_a_quats``
+    and ``r_b_quats`` ``(N, 4)`` and ``matched_class`` ``(N,)``.  Every stage
+    after ranking reads the columns; ``dataclasses.replace`` with new
+    ``pairs`` rebuilds them.
     """
 
     object_class: str
     pairs: tuple
     ambiguity: np.ndarray
     grid_meta: dict
+    raw_similarity: np.ndarray = field(init=False, repr=False, compare=False)
     r_a_quats: np.ndarray = field(init=False, repr=False, compare=False)
+    r_b_quats: np.ndarray = field(init=False, repr=False, compare=False)
+    matched_class: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         amb = np.asarray(self.ambiguity, dtype=float)
         if len(amb) != len(self.pairs):
             raise ValueError("ambiguity length does not match pair count")
-        amb.flags.writeable = False
-        object.__setattr__(self, "ambiguity", amb)
-        quats = np.array([p.r_a.q for p in self.pairs], dtype=float).reshape(-1, 4)
-        object.__setattr__(self, "r_a_quats", as_unit_quats(quats))
+        columns = {
+            "ambiguity": amb,
+            "raw_similarity": np.array([p.similarity for p in self.pairs], dtype=float),
+            "r_a_quats": as_unit_quats(
+                np.array([p.r_a.q for p in self.pairs], dtype=float).reshape(-1, 4)),
+            "r_b_quats": as_unit_quats(
+                np.array([p.r_b.q for p in self.pairs], dtype=float).reshape(-1, 4)),
+            "matched_class": np.array([p.matched_class for p in self.pairs], dtype=str),
+        }
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    @property
-    def raw_similarity(self) -> np.ndarray:
-        return np.array([p.similarity for p in self.pairs])
 
     def lookup(self, r: Rotation) -> float:
         """Ambiguity of the nearest ranked orientation (geodesic nearest grid point)."""
@@ -139,15 +149,17 @@ class AmbiguityTable:
 
 @dataclass(frozen=True)
 class ThresholdSplit:
-    """Partition of ranked orientations at an ambiguity threshold.
+    """Train orientations of a table at an ambiguity threshold.
 
-    ``train_rotations`` holds orientations with ambiguity strictly below the
-    threshold; ``ambiguous_rotations`` is the complement.
+    ``train_quats`` is the read-only ``(N, 4)`` array of the ``r_a`` rows
+    whose ambiguity is strictly below ``threshold``, in table order.
     """
 
     threshold: float
-    train_rotations: tuple
-    ambiguous_rotations: tuple
+    train_quats: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "train_quats", as_unit_quats(self.train_quats))
 
 
 def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
@@ -338,13 +350,10 @@ def rank_object(
 
 
 def split_by_threshold(table: AmbiguityTable, a: float) -> ThresholdSplit:
-    """Orientations with ambiguity < a go to train; the rest are ambiguous."""
+    """Orientations with ambiguity < a go to train."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {a}")
-    train, ambiguous = [], []
-    for p, v in zip(table.pairs, table.ambiguity):
-        (train if v < a else ambiguous).append(p.r_a)
-    return ThresholdSplit(float(a), tuple(train), tuple(ambiguous))
+    return ThresholdSplit(float(a), table.r_a_quats[table.ambiguity < a])
 
 
 def best_orientation(table: AmbiguityTable) -> Rotation:

@@ -20,21 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from . import seeding
 from .ambiguity import AmbiguityTable, normalize_ambiguity
-from .codebook import cossim
 from .so3 import Rotation
-from .synthworld import SynthObject, render_embedding
+from .synthworld import SynthObject, render_embeddings
 
 DEFAULT_MATCH_TOLERANCE = 1e-6
 
 
-def mse_similarity(view_a: np.ndarray, view_b: np.ndarray) -> float:
-    """Negated mean squared error between raw embeddings (larger = more similar)."""
+def mse_similarity(view_a: np.ndarray, view_b: np.ndarray):
+    """Negated mean squared error between raw embeddings (larger = more similar).
+
+    ``(d,)`` inputs give a float, ``(N, d)`` inputs one value per row.
+    """
     a = np.asarray(view_a, dtype=float)
     b = np.asarray(view_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(-np.mean((a - b) ** 2))
+    return -np.mean((a - b) ** 2, axis=-1)
 
 
 def blob_match_similarity(
@@ -103,6 +106,18 @@ class MetricReport:
 METRIC_NAMES = ("primary", "mse", "blob_match")
 
 
+def _pair_renders(table: AmbiguityTable, obj: SynthObject, others_by_class: dict):
+    """Noise-free ``(N, d)`` embeddings of both views of every pair: ``obj``
+    at the ``r_a`` rows and each matched object at its ``r_b`` rows, one
+    block render per object."""
+    za = render_embeddings(obj, table.r_a_quats)
+    zb = np.empty_like(za)
+    for cls in np.unique(table.matched_class):
+        rows = table.matched_class == cls
+        zb[rows] = render_embeddings(others_by_class[cls], table.r_b_quats[rows])
+    return za, zb
+
+
 def metric_comparison(
     table: AmbiguityTable,
     obj: SynthObject,
@@ -120,17 +135,14 @@ def metric_comparison(
     for name in metrics:
         if name == "primary":
             values[name] = primary.copy()
-            continue
-        out = np.empty(len(table))
-        for i, p in enumerate(table.pairs):
-            other = others_by_class[p.matched_class]
-            if name == "mse":
-                va = render_embedding(obj, p.r_a)
-                vb = render_embedding(other, p.r_b)
-                out[i] = mse_similarity(va, vb)
-            else:
-                out[i] = blob_match_similarity(obj, p.r_a, other, p.r_b)
-        values[name] = out
+        elif name == "mse":
+            values[name] = mse_similarity(*_pair_renders(table, obj, others_by_class))
+        else:
+            rows = zip(table.r_a_quats, table.r_b_quats, table.matched_class)
+            values[name] = np.array([
+                blob_match_similarity(obj, Rotation.wrap(qa), others_by_class[c], Rotation.wrap(qb))
+                for qa, qb, c in rows
+            ])
     spearman = {}
     pearson = {}
     for name in metrics:
@@ -153,25 +165,29 @@ def noise_robustness_sweep(
     """Spearman correlation of noisy pair similarities against the clean ranking.
 
     Returns ``[(sigma, correlation)]``; sigma 0 reproduces the ranking exactly.
+    Both views of every pair are rendered once, in one block per object; pair
+    ``i`` then gets the noise of its own streams ``noise-a`` and ``noise-b``.
     """
-    from . import seeding
-
-    if len(list(sigmas)) == 0:
+    sigmas = list(sigmas)
+    if len(sigmas) == 0:
         raise ValueError("need at least one sigma")
+    if any(sigma < 0.0 for sigma in sigmas):
+        raise ValueError("sigma must be >= 0")
     baseline = table.raw_similarity
+    za, zb = _pair_renders(table, obj, others_by_class)
+
+    def noisy(z, stream, si, sigma):
+        d = z.shape[1]
+        return z + np.array([seeding.rng(seed, stream, si, i).normal(0.0, sigma, size=d)
+                             for i in range(len(z))])
+
     results = []
     for si, sigma in enumerate(sigmas):
-        if sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
-        vals = np.empty(len(table))
-        for i, p in enumerate(table.pairs):
-            other = others_by_class[p.matched_class]
-            za = render_embedding(obj, p.r_a, sigma, seeding.rng(seed, "noise-a", si, i))
-            zb = render_embedding(other, p.r_b, sigma, seeding.rng(seed, "noise-b", si, i))
-            vals[i] = cossim(za, zb)
         if sigma == 0.0:
             corr = 1.0 if np.ptp(baseline) > 0.0 else 0.0
         else:
+            va, vb = noisy(za, "noise-a", si, sigma), noisy(zb, "noise-b", si, sigma)
+            vals = np.vecdot(va, vb) / (np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1))
             corr, _ = _correlation(vals, baseline)
         results.append((float(sigma), float(corr)))
     return results

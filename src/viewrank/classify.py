@@ -69,12 +69,13 @@ class SweepResult:
                 )
 
 
-def _noisy_renders(obj: SynthObject, rotations, noise_sigma: float, gen: np.random.Generator,
-                   samples_per_rotation: int = 1) -> np.ndarray:
+def _noisy_renders(obj: SynthObject, quats: np.ndarray, noise_sigma: float,
+                   gen: np.random.Generator, samples_per_rotation: int = 1) -> np.ndarray:
+    """Embeddings of each ``(N, 4)`` row repeated ``samples_per_rotation``
+    times in a row, plus Gaussian noise drawn from ``gen``."""
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
-    quats = np.array([r.q for r in rotations for _ in range(samples_per_rotation)])
-    z = render_embeddings(obj, quats)
+    z = render_embeddings(obj, np.repeat(quats, samples_per_rotation, axis=0))
     if noise_sigma > 0.0:
         z = z + gen.normal(0.0, noise_sigma, size=z.shape)
     return z
@@ -100,10 +101,10 @@ def train(
     centroids = []
     threshold = splits[0].threshold if splits else 0.0
     for ci, (obj, split) in enumerate(zip(objects, splits)):
-        if len(split.train_rotations) == 0:
+        if len(split.train_quats) == 0:
             raise EmptyTrainSetError(obj.class_id, split.threshold)
         gen = seeding.rng(seed, "train", ci)
-        z = _noisy_renders(obj, split.train_rotations, noise_sigma, gen, samples_per_rotation)
+        z = _noisy_renders(obj, split.train_quats, noise_sigma, gen, samples_per_rotation)
         centroid = z.mean(axis=0)
         n = float(np.linalg.norm(centroid))
         if n == 0.0:
@@ -135,19 +136,23 @@ def predict(clf: CentroidClassifier, z: np.ndarray):
 def evaluate_on_rotations(
     clf: CentroidClassifier,
     objects,
-    rotations_per_class,
+    quats_per_class,
     n_samples: int,
     noise_sigma: float,
     gen: np.random.Generator,
 ) -> float:
-    """Accuracy over noisy views sampled (with replacement) per class."""
+    """Accuracy over noisy views sampled (with replacement) per class.
+
+    ``quats_per_class`` holds one ``(N, 4)`` orientation array per object; a
+    class with no rows is skipped.
+    """
     correct = 0
     total = 0
-    for obj, rotations in zip(objects, rotations_per_class):
-        if len(rotations) == 0:
+    for obj, quats in zip(objects, quats_per_class):
+        if len(quats) == 0:
             continue
-        idx = gen.integers(0, len(rotations), size=n_samples)
-        z = _noisy_renders(obj, [rotations[i] for i in idx], noise_sigma, gen)
+        idx = gen.integers(0, len(quats), size=n_samples)
+        z = _noisy_renders(obj, quats[idx], noise_sigma, gen)
         s = np.hypot(*roll_components(z / np.linalg.norm(z, axis=1, keepdims=True), clf.centroids))
         pred = np.argmax(s, axis=1)
         true_ci = clf.classes.index(obj.class_id)
@@ -189,10 +194,11 @@ def threshold_sweep(
             raise ValueError(f"thresholds and caps must be in [0, 1], got {t}")
     tables = list(tables)
     objects = list(objects)
+    eval_sets = [[tab.r_a_quats[tab.ambiguity < cap] for tab in tables] for cap in caps]
     rows = []
     for ti, threshold in enumerate(thresholds):
         splits = [split_by_threshold(tab, threshold) for tab in tables]
-        if any(len(s.train_rotations) == 0 for s in splits):
+        if any(len(s.train_quats) == 0 for s in splits):
             for cap in caps:
                 rows.append(SweepRow(float(threshold), float(cap), math.nan, 0, "empty_train"))
             continue
@@ -204,27 +210,22 @@ def threshold_sweep(
                 sample_gen = seeding.rng(seed, "sweep-sample", ti, trial)
                 trial_splits = []
                 for s in splits:
-                    idx = sample_gen.integers(0, len(s.train_rotations),
+                    idx = sample_gen.integers(0, len(s.train_quats),
                                               size=train_rotations_per_class)
-                    trial_splits.append(
-                        replace(s, train_rotations=tuple(s.train_rotations[i] for i in idx))
-                    )
+                    trial_splits.append(replace(s, train_quats=s.train_quats[idx]))
             train_seed = int(seeding.seed_sequence(seed, "sweep-train", ti, trial).generate_state(1)[0])
             classifiers.append(
                 train(objects, trial_splits, samples_per_rotation, noise_sigma, seed=train_seed)
             )
-        for cap_i, cap in enumerate(caps):
-            eval_rot = [
-                [p.r_a for p, v in zip(tab.pairs, tab.ambiguity) if v < cap] for tab in tables
-            ]
-            if not any(eval_rot):
+        for cap_i, (cap, eval_quats) in enumerate(zip(caps, eval_sets)):
+            if all(len(q) == 0 for q in eval_quats):
                 rows.append(SweepRow(float(threshold), float(cap), math.nan, 0, "empty_eval"))
                 continue
             accs = []
             for trial, clf in enumerate(classifiers):
                 gen = seeding.rng(seed, "sweep-eval", ti, cap_i, trial)
                 accs.append(
-                    evaluate_on_rotations(clf, objects, eval_rot, eval_samples, noise_sigma, gen)
+                    evaluate_on_rotations(clf, objects, eval_quats, eval_samples, noise_sigma, gen)
                 )
             rows.append(
                 SweepRow(float(threshold), float(cap), float(np.mean(accs)),

@@ -175,10 +175,9 @@ def _cmd_simulate(m: dict, out: Path, threads: int) -> None:
 
 def _cmd_compare(m: dict, out: Path, threads: int) -> None:
     a, b = _build_world(m)
-    codebooks = _build_codebooks(m, [a, b])
     coarse = so3.build_view_grid(m["ranking"]["coarse_dirs"], 1)
     table = ambiguity.rank_object(
-        a, [b], [codebooks[1]], coarse, m["ranking"]["descent_steps"], threads=threads
+        a, [b], _build_codebooks(m, [b]), coarse, m["ranking"]["descent_steps"], threads=threads
     )
     report = baselines.metric_comparison(table, a, {"B": b}, tuple(m["compare"]["metrics"]))
     written = []

@@ -7,7 +7,6 @@ resolve to the lowest entry index so results are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -106,34 +105,6 @@ class Codebook:
         if n == 0.0:
             raise ValueError("cannot query a codebook with a zero-norm embedding")
         return self.embeddings @ (zu / n)
-
-    def to_json(self) -> dict:
-        return {
-            "class_id": self.class_id,
-            "group_id": self.group_id,
-            "grid_meta": dict(self.grid_meta),
-            "rotations": self.quats.tolist(),
-            "embeddings": self.embeddings.tolist(),
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Codebook":
-        return cls(
-            quats=np.array(data["rotations"], dtype=float).reshape(len(data["rotations"]), 4),
-            embeddings=np.array(data["embeddings"], dtype=float),
-            class_id=data["class_id"],
-            group_id=data["group_id"],
-            grid_meta=dict(data["grid_meta"]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Codebook":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:

@@ -16,7 +16,6 @@ bit-identical embeddings whenever no differing blob is visible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -73,34 +72,6 @@ class SynthObject:
     @property
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "class_id": self.class_id,
-            "group_id": self.group_id,
-            "meta": dict(self.meta),
-            "positions": self.positions.tolist(),
-            "descriptors": self.descriptors.tolist(),
-        }
-
-    def save(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            json.dump(self.to_json(), f)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SynthObject":
-        return cls(
-            positions=np.array(data["positions"], dtype=float),
-            descriptors=np.array(data["descriptors"], dtype=float),
-            class_id=data["class_id"],
-            group_id=data["group_id"],
-            meta=dict(data.get("meta", {})),
-        )
-
-    @classmethod
-    def load(cls, path) -> "SynthObject":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 def make_ambiguous_pair(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,11 +353,24 @@ class TestTableQueries:
 
     def test_r_a_array_is_pair_rows(self, tables):
         t = tables["A"]
-        assert t.r_a_quats.shape == (len(t), 4)
+        assert t.r_a_quats.shape == t.r_b_quats.shape == (len(t), 4)
+        assert t.raw_similarity.shape == t.matched_class.shape == (len(t),)
         for i, p in enumerate(t.pairs):
             assert np.array_equal(p.r_a.q, t.r_a_quats[i])
-        with pytest.raises(ValueError):
-            t.r_a_quats[0, 0] = 1.0
+            assert np.array_equal(p.r_b.q, t.r_b_quats[i])
+            assert t.raw_similarity[i] == p.similarity
+            assert t.matched_class[i] == p.matched_class
+        for col in (t.raw_similarity, t.r_a_quats, t.r_b_quats, t.matched_class):
+            with pytest.raises(ValueError):
+                col[0] = col[1]
+        # Replacing the pairs rebuilds every column from them.
+        pairs = list(t.pairs)
+        pairs[10], pairs[30] = pairs[30], pairs[10]
+        swapped = replace(t, pairs=tuple(pairs))
+        order = np.arange(len(t))
+        order[[10, 30]] = [30, 10]
+        for name in ("raw_similarity", "r_a_quats", "r_b_quats", "matched_class"):
+            assert np.array_equal(getattr(swapped, name), getattr(t, name)[order])
 
     def test_exact_grid_point(self, tables):
         t = tables["A"]
@@ -407,33 +421,36 @@ class TestSplitByThreshold:
         t = tables["A"]
         split = split_by_threshold(t, 0.5)
         assert split.threshold == 0.5
-        assert len(split.train_rotations) + len(split.ambiguous_rotations) == len(t)
-        train = set(split.train_rotations)
-        for p, v in zip(t.pairs, t.ambiguity):
-            assert (p.r_a in train) == (v < 0.5)
+        ambiguous = t.r_a_quats[t.ambiguity >= 0.5]
+        assert len(split.train_quats) + len(ambiguous) == len(t)
+        train = {q.tobytes() for q in split.train_quats}
+        for q, v in zip(t.r_a_quats, t.ambiguity):
+            assert (q.tobytes() in train) == (v < 0.5)
+        with pytest.raises(ValueError):
+            split.train_quats[0, 0] = 1.0
 
     def test_boundaries(self, tables):
         t = tables["A"]
-        assert split_by_threshold(t, 0.0).train_rotations == ()
+        assert split_by_threshold(t, 0.0).train_quats.shape == (0, 4)
         full = split_by_threshold(t, 1.0)
         # Strict < keeps only the max-ambiguity entries out of train.
-        assert len(full.ambiguous_rotations) == int(np.sum(t.ambiguity >= 1.0))
+        assert len(t) - len(full.train_quats) == int(np.sum(t.ambiguity >= 1.0))
 
     def test_strictly_below(self, tables):
         t = tables["A"]
         v = float(t.ambiguity[len(t) // 2])
         split = split_by_threshold(t, v)
-        assert all(t.lookup(r) < v for r in split.train_rotations)
+        assert np.all(t.lookup_batch(split.train_quats) < v)
 
     def test_train_orientations_hide_patch_at_low_threshold(self, pair, tables):
         split = split_by_threshold(tables["A"], 0.05)
-        assert len(split.train_rotations) > 0
-        visible = [synthworld.patch_visible(pair, r) for r in split.train_rotations]
+        assert len(split.train_quats) > 0
+        visible = [synthworld.patch_visible(pair, so3.Rotation.wrap(q)) for q in split.train_quats]
         assert np.mean(visible) > 0.9
 
     def test_monotone_in_threshold(self, tables):
         t = tables["A"]
-        sizes = [len(split_by_threshold(t, a).train_rotations) for a in (0.1, 0.3, 0.6, 1.0)]
+        sizes = [len(split_by_threshold(t, a).train_quats) for a in (0.1, 0.3, 0.6, 1.0)]
         assert sizes == sorted(sizes)
 
     def test_out_of_range_rejected(self, tables):

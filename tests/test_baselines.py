@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
-from viewrank import so3, synthworld
+from viewrank import seeding, so3, synthworld
 from viewrank.ambiguity import AmbiguityTable, normalize_ambiguity
+from viewrank.codebook import cossim
 from viewrank.baselines import (
     METRIC_NAMES,
     MetricReport,
@@ -125,11 +127,13 @@ class TestMetricComparison:
 
     def test_values_match_direct_evaluation(self, pair, report, tables):
         a, b = pair
+        t = tables["A"]
+        # Each object's rows are rendered in one block, as the comparison does.
+        za = synthworld.render_embeddings(a, t.r_a_quats)
+        zb = synthworld.render_embeddings(b, t.r_b_quats)
         for i in (0, 25, 60):
-            p = tables["A"].pairs[i]
-            va = synthworld.render_embedding(a, p.r_a)
-            vb = synthworld.render_embedding(b, p.r_b)
-            assert report.values["mse"][i] == pytest.approx(mse_similarity(va, vb), abs=1e-15)
+            p = t.pairs[i]
+            assert report.values["mse"][i] == mse_similarity(za[i], zb[i])
             assert report.values["blob_match"][i] == pytest.approx(
                 blob_match_similarity(a, p.r_a, b, p.r_b), abs=1e-15
             )
@@ -210,6 +214,24 @@ class TestNoiseRobustness:
     def test_huge_noise_destroys_ranking(self, sweep):
         rows, _ = sweep
         assert abs(rows[2][1]) < 0.25
+
+    def test_matches_per_pair_reference(self, pair, tables, sweep):
+        # Reference: one-row renders, each pair with its own noise streams,
+        # and the scalar cosine.
+        a, b = pair
+        rows, _ = sweep
+        t = tables["A"]
+        for si in (1, 2):
+            sigma = rows[si][0]
+            vals = [
+                cossim(
+                    synthworld.render_embedding(a, p.r_a, sigma, seeding.rng(0, "noise-a", si, i)),
+                    synthworld.render_embedding(b, p.r_b, sigma, seeding.rng(0, "noise-b", si, i)),
+                )
+                for i, p in enumerate(t.pairs)
+            ]
+            want = stats.spearmanr(vals, t.raw_similarity).statistic
+            assert rows[si][1] == pytest.approx(want, abs=1e-12)
 
     def test_deterministic(self, pair, tables):
         a, b = pair

@@ -50,9 +50,7 @@ class TestTrain:
 
     def test_noise_free_centroid_is_mean(self, pair, splits, clf):
         a, _ = pair
-        z = synthworld.render_embeddings(
-            a, np.array([r.q for r in splits[0].train_rotations])
-        )
+        z = synthworld.render_embeddings(a, splits[0].train_quats)
         mean = z.mean(axis=0)
         assert np.allclose(clf.centroids[0], mean / np.linalg.norm(mean), atol=1e-12)
 
@@ -70,7 +68,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="noise_sigma"):
             train(list(pair), splits, noise_sigma=-0.1)
         with pytest.raises(ValueError, match="noise_sigma"):
-            classify._noisy_renders(pair[0], [so3.Rotation.identity()], -1e-9,
+            classify._noisy_renders(pair[0], so3.Rotation.identity().q[None], -1e-9,
                                     np.random.default_rng(0))
 
     def test_validation(self, pair, splits):
@@ -139,10 +137,7 @@ class TestPredict:
         total = 0
         for trial in range(8):
             splits = [
-                ambiguity.ThresholdSplit(0.5, tuple(
-                    tab.pairs[i].r_a
-                    for i in rng.integers(0, len(tab), size=8)
-                ), ())
+                ambiguity.ThresholdSplit(0.5, tab.r_a_quats[rng.integers(0, len(tab), size=8)])
                 for tab in (tables["A"], tables["B"])
             ]
             clf = train([a, b], splits, noise_sigma=sigma, seed=trial)

@@ -1,6 +1,5 @@
 """Codebook construction, cosine queries, the roll kernel, and pose estimation."""
 
-import json
 import math
 
 import numpy as np
@@ -327,34 +326,17 @@ class TestGroupQueries:
 
 
 class TestCodebookJson:
-    def test_roundtrip(self, tmp_path, codebooks):
-        cb = codebooks[0]
-        path = tmp_path / "cb.json"
-        cb.save(path)
-        back = Codebook.load(path)
-        assert back.class_id == cb.class_id
-        assert back.group_id == cb.group_id
-        assert back.grid_meta == cb.grid_meta
-        assert len(back) == len(cb)
-        assert np.allclose(back.embeddings, cb.embeddings, atol=1e-15)
-        assert np.array_equal(back.quats, cb.quats)
-
     def test_non_canonical_row_rejected(self, codebooks):
-        data = codebooks[0].to_json()
-        data["rotations"][3] = [-c for c in data["rotations"][3]]
+        cb = codebooks[0]
+        quats = cb.quats.copy()
+        quats[3] = -quats[3]
         with pytest.raises(ValueError, match="canonical"):
-            Codebook.from_json(data)
-
-    def test_save_is_stable(self, tmp_path, codebooks):
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        codebooks[0].save(p1)
-        codebooks[0].save(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+            Codebook(quats, cb.embeddings, cb.class_id, cb.group_id, dict(cb.grid_meta))
 
     def test_query_does_not_mutate(self, codebooks):
         cb = codebooks[0]
-        before = json.dumps(cb.to_json(), sort_keys=True)
+        quats, embeddings = cb.quats.copy(), cb.embeddings.copy()
         estimate_pose(cb, np.ones(cb.embeddings.shape[1]))
         hypotheses_for_group([cb], np.ones(cb.embeddings.shape[1]), k=2)
-        assert json.dumps(cb.to_json(), sort_keys=True) == before
+        assert np.array_equal(cb.quats, quats)
+        assert np.array_equal(cb.embeddings, embeddings)

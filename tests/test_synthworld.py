@@ -84,17 +84,6 @@ class TestSynthObject:
         with pytest.raises(ValueError):
             a.descriptors[0, 0] = 0.0
 
-    def test_json_roundtrip(self, tmp_path, pair):
-        a, _ = pair
-        path = tmp_path / "obj.json"
-        a.save(path)
-        back = SynthObject.load(path)
-        assert np.array_equal(back.positions, a.positions)
-        assert np.array_equal(back.descriptors, a.descriptors)
-        assert back.class_id == a.class_id
-        assert back.group_id == a.group_id
-        assert back.meta == a.meta
-
 
 class TestRenderEmbedding:
     def test_shape_and_determinism(self, pair):
