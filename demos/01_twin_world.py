@@ -25,6 +25,5 @@ for label, direction in [("patch head-on", center), ("patch hidden", -center)]:
           f"|za - zb| = {np.linalg.norm(za - zb):.6f}")
 
 dirs = so3.fibonacci_directions(1000)
-hidden = np.mean([not synthworld.patch_visible((a, b), so3.look_at(d.unit_vector()))
-                  for d in dirs])
+hidden = np.mean([not synthworld.patch_visible((a, b), so3.look_at(d)) for d in dirs])
 print(f"fraction of viewing directions hiding the patch: {hidden:.3f}")

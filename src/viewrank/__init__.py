@@ -56,7 +56,6 @@ from .policy import (
 )
 from .so3 import (
     Rotation,
-    SphericalDirection,
     ViewGrid,
     build_view_grid,
     fibonacci_directions,

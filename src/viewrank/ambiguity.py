@@ -174,9 +174,7 @@ def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
     descriptors = target.descriptors
 
     def sim(theta: float, phi: float):
-        st = math.sin(theta)
-        v = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-        w = positions @ v
+        w = positions @ so3.unit_vector(theta, phi)
         np.maximum(w, 0.0, out=w)
         w *= w
         s = w @ descriptors
@@ -212,22 +210,16 @@ def most_similar_view(
     if descent_steps < 0:
         raise ValueError("descent_steps must be >= 0")
     z = np.asarray(z, dtype=float)
-    zn = float(np.linalg.norm(z))
-    if zn == 0.0:
-        raise ValueError("query embedding has zero norm")
-    z_unit = z / zn
-
-    scores = target_cb.embeddings @ z_unit
-    i = int(np.argmax(scores))
+    i, seed_score = target_cb.best(z)  # refuses a zero-norm z
     seed_rotation = target_cb.rotation(i)
     if descent_steps == 0:
-        return seed_rotation, float(np.clip(scores[i], -1.0, 1.0))
+        return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
     if initial_step is None:
         n_dirs = int(target_cb.grid_meta.get("n_dirs", len(target_cb)))
         initial_step = 2.0 * math.sqrt(4.0 * math.pi / n_dirs)
 
-    sim = _direction_evaluator(target, z_unit)
+    sim = _direction_evaluator(target, z / float(np.linalg.norm(z)))
     seen = {}  # (theta, phi) -> (sim, roll) of every point evaluated so far
 
     def probe(x, ci, delta):
@@ -241,7 +233,8 @@ def most_similar_view(
     v0 = seed_rotation.view_direction()
     x = (math.acos(max(-1.0, min(1.0, v0[2]))), math.atan2(v0[1], v0[0]))
     best, roll = seen[x] = sim(*x)
-    best = max(best, float(scores[i]))
+    # Unclipped: a seed clipped to 1.0 would lose to a point at 1 + eps.
+    best = max(best, seed_score)
 
     step = float(initial_step)
     for _ in range(descent_steps):
@@ -271,10 +264,7 @@ def most_similar_view(
                         x, best, roll = cand, fc, rc
         step *= 0.5
 
-    theta, phi = x
-    st = math.sin(theta)
-    direction = np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-    r_best = so3.look_at(direction, roll)
+    r_best = so3.look_at(so3.unit_vector(*x), roll)
     return r_best, min(1.0, max(-1.0, best))
 
 

@@ -173,13 +173,13 @@ def threshold_sweep(
     samples_per_rotation: int = 1,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    train_rotations_per_class: int | None = 8,
+    train_rotations_per_class: int = 8,
 ) -> SweepResult:
     """Accuracy per (train threshold, eval ambiguity cap), averaged over trials.
 
     Each trial draws ``train_rotations_per_class`` orientations (with
     replacement) from every class's train split, so trials model independent
-    finite training sets; pass ``None`` to train on the full split instead.
+    finite training sets.
     Thresholds and caps may include the degenerate 0.0; cells whose training
     set is empty are emitted with status ``empty_train``, and cells where no
     class has an orientation below the cap with status ``empty_eval``, both
@@ -187,8 +187,8 @@ def threshold_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if train_rotations_per_class is not None and train_rotations_per_class < 1:
-        raise ValueError("train_rotations_per_class must be >= 1 or None")
+    if train_rotations_per_class < 1:
+        raise ValueError("train_rotations_per_class must be >= 1")
     for t in list(thresholds) + list(caps):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"thresholds and caps must be in [0, 1], got {t}")
@@ -204,15 +204,11 @@ def threshold_sweep(
             continue
         classifiers = []
         for trial in range(trials):
-            if train_rotations_per_class is None:
-                trial_splits = splits
-            else:
-                sample_gen = seeding.rng(seed, "sweep-sample", ti, trial)
-                trial_splits = []
-                for s in splits:
-                    idx = sample_gen.integers(0, len(s.train_quats),
-                                              size=train_rotations_per_class)
-                    trial_splits.append(replace(s, train_quats=s.train_quats[idx]))
+            sample_gen = seeding.rng(seed, "sweep-sample", ti, trial)
+            trial_splits = []
+            for s in splits:
+                idx = sample_gen.integers(0, len(s.train_quats), size=train_rotations_per_class)
+                trial_splits.append(replace(s, train_quats=s.train_quats[idx]))
             train_seed = int(seeding.seed_sequence(seed, "sweep-train", ti, trial).generate_state(1)[0])
             classifiers.append(
                 train(objects, trial_splits, samples_per_rotation, noise_sigma, seed=train_seed)

@@ -74,7 +74,7 @@ def _build_codebooks(m: dict, objects):
     return [build_codebook(obj, grid) for obj in objects]
 
 
-def _build_tables(m: dict, objects, codebooks, threads: int):
+def _build_tables(m: dict, objects, codebooks):
     coarse = so3.build_view_grid(m["ranking"]["coarse_dirs"], 1)
     steps = m["ranking"]["descent_steps"]
     tables = {}
@@ -82,9 +82,7 @@ def _build_tables(m: dict, objects, codebooks, threads: int):
         others = [o for j, o in enumerate(objects) if j != i]
         cbs = [cb for j, cb in enumerate(codebooks) if j != i]
         log.info("ranking %s over %d orientations", obj.class_id, len(coarse))
-        tables[obj.class_id] = ambiguity.rank_object(
-            obj, others, cbs, coarse, steps, threads=threads
-        )
+        tables[obj.class_id] = ambiguity.rank_object(obj, others, cbs, coarse, steps)
     return tables
 
 
@@ -98,10 +96,10 @@ def _write_hashes(out: Path, names) -> None:
         f.write("\n")
 
 
-def _cmd_rank(m: dict, out: Path, threads: int) -> None:
+def _cmd_rank(m: dict, out: Path) -> None:
     a, b = _build_world(m)
     codebooks = _build_codebooks(m, [a, b])
-    tables = _build_tables(m, [a, b], codebooks, threads)
+    tables = _build_tables(m, [a, b], codebooks)
     written = []
     for cls, table in sorted(tables.items()):
         json_name = f"ambiguity_{cls}.json"
@@ -112,10 +110,10 @@ def _cmd_rank(m: dict, out: Path, threads: int) -> None:
     _write_hashes(out, written)
 
 
-def _cmd_sweep(m: dict, out: Path, threads: int) -> None:
+def _cmd_sweep(m: dict, out: Path) -> None:
     a, b = _build_world(m)
     codebooks = _build_codebooks(m, [a, b])
-    tables = _build_tables(m, [a, b], codebooks, threads)
+    tables = _build_tables(m, [a, b], codebooks)
     sigma = classify.default_noise_sigma(a, m["sweep"]["noise_factor"])
     result = classify.threshold_sweep(
         [a, b],
@@ -141,10 +139,10 @@ def _make_reachable(m: dict) -> policy.ReachableSet:
     return policy.build_sphere_reachable(r["sphere_dirs"])
 
 
-def _cmd_simulate(m: dict, out: Path, threads: int) -> None:
+def _cmd_simulate(m: dict, out: Path) -> None:
     a, b = _build_world(m)
     codebooks = _build_codebooks(m, [a, b])
-    tables = _build_tables(m, [a, b], codebooks, threads)
+    tables = _build_tables(m, [a, b], codebooks)
     sigma = classify.default_noise_sigma(a, m["policy"]["noise_factor"])
     splits = [
         ambiguity.split_by_threshold(tables[obj.class_id], m["policy"]["train_threshold"])
@@ -173,11 +171,11 @@ def _cmd_simulate(m: dict, out: Path, threads: int) -> None:
                         "success_vs_budget.csv"])
 
 
-def _cmd_compare(m: dict, out: Path, threads: int) -> None:
+def _cmd_compare(m: dict, out: Path) -> None:
     a, b = _build_world(m)
     coarse = so3.build_view_grid(m["ranking"]["coarse_dirs"], 1)
     table = ambiguity.rank_object(
-        a, [b], _build_codebooks(m, [b]), coarse, m["ranking"]["descent_steps"], threads=threads
+        a, [b], _build_codebooks(m, [b]), coarse, m["ranking"]["descent_steps"]
     )
     report = baselines.metric_comparison(table, a, {"B": b}, tuple(m["compare"]["metrics"]))
     written = []
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
         target = out.resolve()
         staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
         try:
-            _COMMANDS[args.command](m, staging, args.threads)
+            _COMMANDS[args.command](m, staging)
             manifest.save(m, staging / "manifest.resolved.json")
             for path in sorted(staging.iterdir()):
                 os.replace(path, out / path.name)

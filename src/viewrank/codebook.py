@@ -1,8 +1,9 @@
 """Per-object embedding codebooks and cosine-similarity pose queries.
 
 A codebook stores one unit-normalized embedding per view-grid rotation.
-Queries are exact exhaustive scans (a single matrix-vector product); ties
-resolve to the lowest entry index so results are reproducible.
+Every query goes through ``Codebook.best``: one exact matrix-vector product
+and one ``argmax``, so ties resolve to the lowest entry index and results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -99,12 +100,16 @@ class Codebook:
     def rotation(self, i: int) -> Rotation:
         return Rotation.wrap(self.quats[i])
 
-    def scores(self, z: np.ndarray) -> np.ndarray:
+    def best(self, z: np.ndarray) -> tuple:
+        """``(index, score)`` of the entry most similar to ``z`` by cosine;
+        ties go to the lowest index, and the score is not clipped."""
         zu = np.asarray(z, dtype=float)
         n = float(np.linalg.norm(zu))
         if n == 0.0:
             raise ValueError("cannot query a codebook with a zero-norm embedding")
-        return self.embeddings @ (zu / n)
+        s = self.embeddings @ (zu / n)
+        i = int(np.argmax(s))
+        return i, float(s[i])
 
 
 def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
@@ -115,9 +120,10 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("object rendered a zero embedding; degenerate blob layout")
+    z /= norms
     return Codebook(
         quats=grid.quats,
-        embeddings=z / norms,
+        embeddings=z,
         class_id=obj.class_id,
         group_id=obj.group_id,
         grid_meta={"n_dirs": grid.n_dirs, "n_inplane": grid.n_inplane},
@@ -125,37 +131,19 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
 
 
 def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
-    """Best codebook entry by cosine similarity; ties go to the lowest index."""
-    s = cb.scores(z)
-    i = int(np.argmax(s))
-    return PoseHypothesis(cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))
+    """Best codebook entry by cosine similarity, its score clipped to [-1, 1];
+    ties go to the lowest index."""
+    return _hypothesis(cb, *cb.best(z))
 
 
-def _top_k(s: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest scores, by score descending with ties by
-    lowest index: ``argmax`` for ``k = 1``, else the stable ``argsort(-s)``."""
-    if k == 1:
-        return np.array([np.argmax(s)])
-    return np.argsort(-s, kind="stable")[:k]
+def _hypothesis(cb: Codebook, i: int, score: float) -> PoseHypothesis:
+    return PoseHypothesis(cb.class_id, cb.rotation(i), float(np.clip(score, -1.0, 1.0)))
 
 
-def hypotheses_for_group(codebooks, z: np.ndarray, k: int = 1) -> list:
-    """Top-k entries per in-group class, merged and sorted by score descending.
-
-    Each class is one score scan; ``k = 1`` takes a linear-time ``argmax``.
-    Ties go to the lowest entry index.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def hypotheses_for_group(codebooks, z: np.ndarray) -> list:
+    """``estimate_pose`` for every in-group codebook, sorted by unclipped
+    score, highest first; equal scores keep codebook order."""
     if not codebooks:
         raise ValueError("need at least one codebook")
-    hyps = []
-    for ci, cb in enumerate(codebooks):
-        s = cb.scores(z)
-        for i in _top_k(s, k):
-            i = int(i)
-            hyps.append(((-float(s[i]), ci, i), PoseHypothesis(
-                cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))))
-    hyps.sort(key=lambda t: t[0])
-    return [h for _, h in hyps]
-
+    found = sorted(((cb.best(z), cb) for cb in codebooks), key=lambda t: -t[0][1])
+    return [_hypothesis(cb, i, s) for (i, s), cb in found]

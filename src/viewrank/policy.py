@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class TrajectoryGrid:
 
     circles: tuple  # elevation theta per circle, each in (0, pi)
     steps: int      # azimuth samples per circle
-    radius: float = 0.3  # meters, metadata only
 
     def __post_init__(self):
         if self.steps < 1:
@@ -46,9 +45,9 @@ class TrajectoryGrid:
                 raise ValueError(f"circle elevation must be in (0, pi), got {theta}")
 
     @classmethod
-    def evenly_spaced(cls, n_circles: int, steps: int, radius: float = 0.3) -> "TrajectoryGrid":
+    def evenly_spaced(cls, n_circles: int, steps: int) -> "TrajectoryGrid":
         thetas = tuple((i + 1) * math.pi / (n_circles + 1) for i in range(n_circles))
-        return cls(thetas, steps, radius)
+        return cls(thetas, steps)
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class ReachableSet:
     quaternion array."""
 
     quats: np.ndarray
-    generator_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         quats = so3.as_unit_quats(self.quats)
@@ -80,25 +78,19 @@ class ReachableSet:
         """Same set, extended with ``r`` if it is not already a member."""
         if self.index_of(r) is not None:
             return self
-        return ReachableSet(np.vstack([self.quats, r.q]),
-                            dict(self.generator_meta, extended=True))
+        return ReachableSet(np.vstack([self.quats, r.q]))
 
 
 def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
     """Look-at rotations (roll 0) for every circle/azimuth sample."""
-    dirs = [so3.SphericalDirection(theta, 2.0 * math.pi * j / grid.steps).unit_vector()
+    dirs = [so3.unit_vector(theta, 2.0 * math.pi * j / grid.steps)
             for theta in grid.circles for j in range(grid.steps)]
-    return ReachableSet(
-        so3.look_at_quats(dirs),
-        {"kind": "trajectory", "circles": list(grid.circles), "steps": grid.steps,
-         "radius": grid.radius},
-    )
+    return ReachableSet(so3.look_at_quats(dirs))
 
 
 def build_sphere_reachable(n_dirs: int) -> ReachableSet:
     """Full-sphere reachable set from a Fibonacci direction grid (roll 0)."""
-    grid = so3.build_view_grid(n_dirs, 1)
-    return ReachableSet(grid.quats, {"kind": "sphere", "n_dirs": n_dirs})
+    return ReachableSet(so3.build_view_grid(n_dirs, 1).quats)
 
 
 def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:
@@ -213,7 +205,7 @@ def run_episode(
         z = render_embedding(
             true_obj, rel_true, noise_sigma, seeding.rng(seed, "obs", len(visited) - 1)
         )
-        hyps = hypotheses_for_group(codebooks, z, k=1)
+        hyps = hypotheses_for_group(codebooks, z)
         amb = float(np.mean([tables[h.class_id].lookup(h.rotation) for h in hyps]))
         ambiguities.append(amb)
         predictions.append(predict(classifier, z)[0])
@@ -222,19 +214,18 @@ def run_episode(
             reason = TERMINATED_BELOW_THRESHOLD
             break
 
+        nbv_idx = current_idx
         if policy == "next_best":
             world_hyps = [replace(h, rotation=camera @ h.rotation) for h in hyps]
             nbv_idx = _next_best_index(world_hyps, tables, reachable)
-            if nbv_idx == current_idx:
-                reason = TERMINATED_LOCAL_OPTIMUM
-                break
-        else:
+        elif len(reachable) > 1:
+            # A uniform pick among the other members, without listing them.
             gen = seeding.rng(seed, "policy", len(visited) - 1)
-            choices = [i for i in range(len(reachable)) if i != current_idx]
-            nbv_idx = choices[int(gen.integers(0, len(choices)))] if choices else current_idx
-            if nbv_idx == current_idx:
-                reason = TERMINATED_LOCAL_OPTIMUM
-                break
+            j = int(gen.integers(0, len(reachable) - 1))
+            nbv_idx = j + (j >= current_idx)
+        if nbv_idx == current_idx:
+            reason = TERMINATED_LOCAL_OPTIMUM
+            break
 
         if moves >= max_moves:
             reason = TERMINATED_MOVE_BUDGET

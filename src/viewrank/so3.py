@@ -5,6 +5,8 @@ Conventions used throughout the package:
 - Quaternions are ``(w, x, y, z)``, unit norm, canonicalized so that the
   first nonzero component is positive (in practice ``w >= 0``).  ``q`` and
   ``-q`` denote the same rotation and compare equal.
+- A view direction is a unit 3-vector, and a set of them an ``(N, 3)``
+  array; ``unit_vector(theta, phi)`` builds one from polar angles.
 - The canonical camera view axis is ``+z``.  A view rotation maps ``+z``
   to the direction from the object center toward the camera; the residual
   rotation about that axis is the in-plane roll.
@@ -126,22 +128,10 @@ class Rotation:
         return f"Rotation({w:.6g}, {x:.6g}, {y:.6g}, {z:.6g})"
 
 
-@dataclass(frozen=True)
-class SphericalDirection:
-    """Direction on the unit sphere; ``theta`` elevation in [0, pi], ``phi`` azimuth in [0, 2pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta out of [0, pi]: {self.theta}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi out of [0, 2pi): {self.phi}")
-
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
+def unit_vector(theta: float, phi: float) -> np.ndarray:
+    """Unit 3-vector at polar angle ``theta`` from +z and azimuth ``phi``."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
 def as_unit_quats(quats) -> np.ndarray:
@@ -171,7 +161,6 @@ class ViewGrid:
     ``n_inplane`` rolls per sphere direction."""
 
     quats: np.ndarray
-    directions: tuple
     n_dirs: int
     n_inplane: int
 
@@ -189,24 +178,25 @@ class ViewGrid:
         return math.sqrt(4.0 * math.pi / self.n_dirs)
 
 
-def fibonacci_directions(n: int) -> list:
-    """Quasi-uniform directions from the golden-angle Fibonacci lattice.
+def fibonacci_directions(n: int) -> np.ndarray:
+    """``(n, 3)`` unit rows of the golden-angle Fibonacci lattice.
 
-    Uses ``z_k = 1 - 2(k + 0.5)/n`` with azimuth ``k * golden_angle``; the
-    single-point lattice degenerates to the pole.
+    Row ``k`` is ``unit_vector(acos(z_k), k * golden_angle mod 2 pi)`` with
+    ``z_k = 1 - 2(k + 0.5)/n``; the single-point lattice degenerates to the
+    pole.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
-        return [SphericalDirection(0.0, 0.0)]
-    out = []
+        return unit_vector(0.0, 0.0)[None, :]
+    out = np.empty((n, 3))
     for k in range(n):
         z = 1.0 - 2.0 * (k + 0.5) / n
         theta = math.acos(max(-1.0, min(1.0, z)))
         phi = math.fmod(k * GOLDEN_ANGLE, 2.0 * math.pi)
         if phi < 0.0:
             phi += 2.0 * math.pi
-        out.append(SphericalDirection(theta, phi))
+        out[k] = unit_vector(theta, phi)
     return out
 
 
@@ -251,10 +241,8 @@ def build_view_grid(n_dirs: int, n_inplane: int) -> ViewGrid:
     """Fibonacci directions x uniform in-plane rolls, direction-major order."""
     if n_dirs < 1 or n_inplane < 1:
         raise ValueError(f"counts must be >= 1, got ({n_dirs}, {n_inplane})")
-    dirs = fibonacci_directions(n_dirs)
     rolls = [2.0 * math.pi * j / n_inplane for j in range(n_inplane)]
-    quats = look_at_quats([sd.unit_vector() for sd in dirs], rolls)
-    return ViewGrid(quats, tuple(dirs), n_dirs, n_inplane)
+    return ViewGrid(look_at_quats(fibonacci_directions(n_dirs), rolls), n_dirs, n_inplane)
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

@@ -140,7 +140,9 @@ def render_embeddings(obj: SynthObject, quats: np.ndarray) -> np.ndarray:
             hi = len(q)
         block = q[lo:hi]
         v = view_directions(block)                               # (B, 3)
-        w = np.clip(v @ obj.positions.T, 0.0, None) ** 2         # (B, n)
+        w = v @ obj.positions.T                                  # (B, n)
+        np.maximum(w, 0.0, out=w)
+        w *= w
         out[lo:hi] = _mix_pairs(w @ obj.descriptors, roll_angles(block, v))
         lo = hi
     return out

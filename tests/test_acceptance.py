@@ -123,7 +123,7 @@ def test_criterion_02_half_sphere_saturation(default_codebooks):
 
 def _fine_oracle_similarities(obj_target, queries: np.ndarray, n_dirs: int) -> np.ndarray:
     """Brute-force roll-maximized similarity against a dense direction grid."""
-    dirs = np.array([d.unit_vector() for d in so3.fibonacci_directions(n_dirs)])
+    dirs = so3.fibonacci_directions(n_dirs)
     w = np.clip(dirs @ obj_target.positions.T, 0.0, None) ** 2
     s = w @ obj_target.descriptors                       # (n_dirs, d)
     se, so_ = s[:, 0::2], s[:, 1::2]

@@ -112,15 +112,23 @@ class TestRollAlignedCossim:
 even_dims = st.integers(1, 6).map(lambda k: 2 * k)
 
 
-def reference_hypotheses(codebooks, z, k):
-    """Oracle for ``hypotheses_for_group``: a full stable argsort per codebook."""
+def reference_best(cb, z):
+    """Full-scan oracle for ``Codebook.best``: every score, then the first
+    index of a stable sort by score descending."""
+    zu = np.asarray(z, dtype=float)
+    s = cb.embeddings @ (zu / np.linalg.norm(zu))
+    i = int(np.argsort(-s, kind="stable")[0])
+    return i, float(s[i])
+
+
+def reference_hypotheses(codebooks, z):
+    """Oracle for ``hypotheses_for_group``: the full-scan best entry per
+    codebook, sorted by unclipped score then codebook index."""
     hyps = []
     for ci, cb in enumerate(codebooks):
-        s = cb.scores(z)
-        for i in np.argsort(-s, kind="stable")[:k]:
-            i = int(i)
-            hyps.append(((-float(s[i]), ci, i), PoseHypothesis(
-                cb.class_id, cb.rotation(i), float(np.clip(s[i], -1.0, 1.0)))))
+        i, s = reference_best(cb, z)
+        hyps.append(((-s, ci), PoseHypothesis(
+            cb.class_id, cb.rotation(i), float(np.clip(s, -1.0, 1.0)))))
     hyps.sort(key=lambda t: t[0])
     return [h for _, h in hyps]
 
@@ -210,7 +218,7 @@ class TestBuildCodebook:
 
     def test_empty_grid_rejected(self, pair):
         a, _ = pair
-        empty = so3.ViewGrid(quats=np.empty((0, 4)), directions=(), n_dirs=0, n_inplane=0)
+        empty = so3.ViewGrid(quats=np.empty((0, 4)), n_dirs=0, n_inplane=0)
         with pytest.raises(ValueError):
             build_codebook(a, empty)
 
@@ -230,13 +238,12 @@ class TestScoresAndEstimatePose:
     def test_scores_are_cossims(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.0, 1.0, 0.0]))
-        s = codebooks[0].scores(z)
-        for i in (0, 17, 200):
-            assert s[i] == pytest.approx(cossim(codebooks[0].embeddings[i], z), abs=1e-12)
+        i, s = codebooks[0].best(z)
+        assert s == pytest.approx(cossim(codebooks[0].embeddings[i], z), abs=1e-12)
 
     def test_zero_query_rejected(self, codebooks):
         with pytest.raises(ValueError):
-            codebooks[0].scores(np.zeros(codebooks[0].embeddings.shape[1]))
+            codebooks[0].best(np.zeros(codebooks[0].embeddings.shape[1]))
 
     def test_grid_view_recovered_exactly(self, pair, codebooks, codebook_grid):
         a, _ = pair
@@ -275,8 +282,8 @@ class TestGroupQueries:
     def test_hypotheses_sorted_and_counted(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
-        hyps = hypotheses_for_group(codebooks, z, k=3)
-        assert len(hyps) == 6
+        hyps = hypotheses_for_group(codebooks, z)
+        assert len(hyps) == 2
         scores = [h.score for h in hyps]
         assert scores == sorted(scores, reverse=True)
         assert {h.class_id for h in hyps} == {"A", "B"}
@@ -284,7 +291,7 @@ class TestGroupQueries:
     def test_top_hypothesis_matches_estimate_pose(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.5, 0.5, 0.7]))
-        hyps = hypotheses_for_group(codebooks, z, k=1)
+        hyps = hypotheses_for_group(codebooks, z)
         per_class = [estimate_pose(cb, z) for cb in codebooks]
         best = max(per_class, key=lambda h: h.score)
         assert hyps[0].score == pytest.approx(best.score, abs=1e-12)
@@ -292,7 +299,8 @@ class TestGroupQueries:
     @given(st.data())
     @settings(max_examples=200)
     def test_matches_stable_argsort_oracle(self, data):
-        # Rows drawn from a few axis vectors make exact score ties.
+        # Rows drawn from a few axis vectors make exact score ties, within a
+        # codebook and between the two.
         d = data.draw(st.sampled_from([2, 4]))
         pool = np.vstack([np.eye(d), -np.eye(d)])
         codebooks = []
@@ -305,22 +313,33 @@ class TestGroupQueries:
         z = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
         if not z.any():
             z[0] = 1.0
-        n = len(codebooks[0])
-        k = data.draw(st.sampled_from([1, 2, 3, n, n + 1]))
-        assert hypotheses_for_group(codebooks, z, k) == reference_hypotheses(codebooks, z, k)
+        for cb in codebooks:
+            assert cb.best(z) == reference_best(cb, z)
+            assert estimate_pose(cb, z) == reference_hypotheses([cb], z)[0]
+        assert hypotheses_for_group(codebooks, z) == reference_hypotheses(codebooks, z)
+
+    def test_equal_scores_keep_codebook_order(self):
+        grid = so3.build_view_grid(2, 1)
+        emb = np.array([[0.0, 1.0], [1.0, 0.0]])
+        codebooks = [Codebook(quats=grid.quats, embeddings=emb[::step], class_id=cls,
+                              group_id="g", grid_meta={})
+                     for cls, step in (("B", 1), ("A", -1))]
+        hyps = hypotheses_for_group(codebooks, np.array([3.0, 0.0]))
+        assert [h.class_id for h in hyps] == ["B", "A"]
+        assert [h.score for h in hyps] == [1.0, 1.0]
+        assert [h.rotation for h in hyps] == [grid.rotation(1), grid.rotation(0)]
+        assert hypotheses_for_group(codebooks[::-1], np.array([3.0, 0.0]))[0].class_id == "A"
 
     def test_rotations_are_codebook_rows(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
-        for h in hypotheses_for_group(codebooks, z, k=3):
+        for h in hypotheses_for_group(codebooks, z):
             cb = codebooks[0] if h.class_id == "A" else codebooks[1]
             assert np.any(np.all(cb.quats == h.rotation.q, axis=1))
         for i in (0, 5, len(codebooks[0]) - 1):
             assert np.array_equal(codebooks[0].rotation(i).q, codebooks[0].quats[i])
 
-    def test_k_validation(self, codebooks):
-        with pytest.raises(ValueError):
-            hypotheses_for_group(codebooks, np.ones(codebooks[0].embeddings.shape[1]), k=0)
+    def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             hypotheses_for_group([], np.ones(4))
 
@@ -337,6 +356,6 @@ class TestCodebookJson:
         cb = codebooks[0]
         quats, embeddings = cb.quats.copy(), cb.embeddings.copy()
         estimate_pose(cb, np.ones(cb.embeddings.shape[1]))
-        hypotheses_for_group([cb], np.ones(cb.embeddings.shape[1]), k=2)
+        hypotheses_for_group([cb], np.ones(cb.embeddings.shape[1]))
         assert np.array_equal(cb.quats, quats)
         assert np.array_equal(cb.embeddings, embeddings)

@@ -58,7 +58,6 @@ class TestTrajectoryGrid:
     def test_rotations_lie_on_circles(self):
         grid = TrajectoryGrid.evenly_spaced(2, 10)
         rs = build_trajectory_reachable(grid)
-        assert rs.generator_meta["kind"] == "trajectory"
         for i in range(len(rs)):
             r = rs.rotation(i)
             theta = grid.circles[i // grid.steps]
@@ -101,7 +100,6 @@ class TestReachableSet:
         extended = reachable.with_rotation(extra)
         assert len(extended) == len(reachable) + 1
         assert extended.index_of(extra) == len(reachable)
-        assert extended.generator_meta["extended"] is True
 
     def test_rotations_are_rows(self, reachable):
         for i in range(len(reachable)):
@@ -112,7 +110,6 @@ class TestReachableSet:
     def test_sphere_reachable(self):
         rs = build_sphere_reachable(50)
         assert len(rs) == 50
-        assert rs.generator_meta == {"kind": "sphere", "n_dirs": 50}
 
 
 class TestExpectedAmbiguity:

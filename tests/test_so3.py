@@ -11,7 +11,6 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from viewrank import policy, so3
 from viewrank.so3 import (
     Rotation,
-    SphericalDirection,
     build_view_grid,
     fibonacci_directions,
     geodesic_distance,
@@ -49,11 +48,30 @@ def reference_look_at(direction, roll=0.0):
     return base @ Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
 
 
+def reference_unit_vector(theta, phi):
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def reference_fibonacci(n):
+    """Scalar oracle for ``fibonacci_directions``: one lattice point at a time."""
+    if n == 1:
+        return np.array([[0.0, 0.0, 1.0]])
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    rows = []
+    for k in range(n):
+        theta = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * (k + 0.5) / n)))
+        phi = math.fmod(k * golden, 2.0 * math.pi)
+        if phi < 0.0:
+            phi += 2.0 * math.pi
+        rows.append(reference_unit_vector(theta, phi))
+    return np.array(rows)
+
+
 def reference_view_grid(n_dirs, n_inplane):
     """Scalar oracle for ``build_view_grid``: the per-rotation loop."""
     rows = []
-    for sd in fibonacci_directions(n_dirs):
-        d = sd.unit_vector()
+    for d in reference_fibonacci(n_dirs):
         for j in range(n_inplane):
             rows.append(reference_look_at(d, 2.0 * math.pi * j / n_inplane).q)
     return np.array(rows)
@@ -64,7 +82,7 @@ def reference_trajectory(grid):
     rows = []
     for theta in grid.circles:
         for j in range(grid.steps):
-            d = SphericalDirection(theta, 2.0 * math.pi * j / grid.steps).unit_vector()
+            d = reference_unit_vector(theta, 2.0 * math.pi * j / grid.steps)
             rows.append(reference_look_at(d).q)
     return np.array(rows)
 
@@ -134,7 +152,7 @@ class TestRotation:
 class TestFibonacciDirections:
     def test_single_direction_is_pole(self):
         (d,) = fibonacci_directions(1)
-        assert d.theta == 0.0
+        assert np.array_equal(d, so3.VIEW_AXIS)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -142,11 +160,11 @@ class TestFibonacciDirections:
 
     def test_two_directions_separation(self):
         d = fibonacci_directions(2)
-        sep = angle_between(d[0].unit_vector(), d[1].unit_vector())
+        sep = angle_between(d[0], d[1])
         assert math.pi / 2.0 < sep <= math.pi
 
     def test_min_separation_at_256(self):
-        vecs = np.array([d.unit_vector() for d in fibonacci_directions(256)])
+        vecs = fibonacci_directions(256)
         dots = np.clip(vecs @ vecs.T, -1.0, 1.0)
         np.fill_diagonal(dots, -1.0)
         min_sep = np.min(np.arccos(np.max(dots, axis=1)))
@@ -155,19 +173,17 @@ class TestFibonacciDirections:
     def test_permutation_stable(self):
         a = fibonacci_directions(128)
         b = fibonacci_directions(128)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_directions_on_sphere(self):
         for d in fibonacci_directions(64):
-            assert abs(np.linalg.norm(d.unit_vector()) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(d) - 1.0) < 1e-12
 
-
-class TestSphericalDirection:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            SphericalDirection(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            SphericalDirection(0.5, 2.0 * math.pi)
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 4096])
+    def test_matches_scalar_oracle_bit_for_bit(self, n):
+        dirs = fibonacci_directions(n)
+        assert dirs.shape == (n, 3)
+        assert np.array_equal(dirs, reference_fibonacci(n))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +202,10 @@ class TestBuildViewGrid:
 
     def test_rotations_map_view_axis_to_direction(self):
         grid = build_view_grid(32, 4)
+        dirs = fibonacci_directions(32)
         for i in range(len(grid)):
             r = grid.rotation(i)
-            d = grid.directions[i // 4].unit_vector()
+            d = dirs[i // 4]
             assert np.allclose(r.apply(so3.VIEW_AXIS), d, atol=1e-9)
             assert np.allclose(r.view_direction(), d, atol=1e-9)
 
@@ -234,9 +251,9 @@ class TestBuildViewGrid:
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
-            so3.ViewGrid(quats=np.full((2, 4), 0.6), directions=(), n_dirs=2, n_inplane=1)
+            so3.ViewGrid(quats=np.full((2, 4), 0.6), n_dirs=2, n_inplane=1)
         with pytest.raises(ValueError):
-            so3.ViewGrid(quats=np.zeros((2, 3)), directions=(), n_dirs=2, n_inplane=1)
+            so3.ViewGrid(quats=np.zeros((2, 3)), n_dirs=2, n_inplane=1)
 
     @pytest.mark.parametrize("row", [(-1.0, 0.0, 0.0, 0.0), (0.0, -0.6, 0.8, 0.0),
                                      (0.0, 0.0, 0.0, -1.0)])

@@ -199,7 +199,7 @@ class TestPatchVisible:
         pair = make_ambiguous_pair(5, n_blobs=4096, patch_radius=radius)
         dirs = so3.fibonacci_directions(2000)
         hidden = np.mean(
-            [not patch_visible(pair, so3.look_at(d.unit_vector())) for d in dirs]
+            [not patch_visible(pair, so3.look_at(d)) for d in dirs]
         )
         assert abs(hidden - (1.0 - math.sin(radius)) / 2.0) < 0.03
 
