@@ -145,5 +145,6 @@ def hypotheses_for_group(codebooks, z: np.ndarray) -> list:
     score, highest first; equal scores keep codebook order."""
     if not codebooks:
         raise ValueError("need at least one codebook")
-    found = sorted(((cb.best(z), cb) for cb in codebooks), key=lambda t: -t[0][1])
-    return [_hypothesis(cb, i, s) for (i, s), cb in found]
+    found = [(cb, *cb.best(z)) for cb in codebooks]
+    found.sort(key=lambda t: -t[2])  # stable, so equal scores keep codebook order
+    return [_hypothesis(cb, i, s) for cb, i, s in found]
