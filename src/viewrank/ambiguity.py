@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .codebook import Codebook, roll_components
+from .codebook import Codebook, roll_components, unit
 from .so3 import Rotation, ViewGrid, as_unit_quats
 from .synthworld import SynthObject, render_embeddings
 
@@ -219,7 +219,7 @@ def most_similar_view(
         n_dirs = int(target_cb.grid_meta.get("n_dirs", len(target_cb)))
         initial_step = 2.0 * math.sqrt(4.0 * math.pi / n_dirs)
 
-    sim = _direction_evaluator(target, z / float(np.linalg.norm(z)))
+    sim = _direction_evaluator(target, unit(z))
     seen = {}  # (theta, phi) -> (sim, roll) of every point evaluated so far
 
     def probe(x, ci, delta):

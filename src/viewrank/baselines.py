@@ -22,6 +22,7 @@ from scipy import stats
 
 from . import seeding
 from .ambiguity import AmbiguityTable, normalize_ambiguity
+from .codebook import unit
 from .so3 import Rotation
 from .synthworld import SynthObject, render_embeddings
 
@@ -187,7 +188,7 @@ def noise_robustness_sweep(
             corr = 1.0 if np.ptp(baseline) > 0.0 else 0.0
         else:
             va, vb = noisy(za, "noise-a", si, sigma), noisy(zb, "noise-b", si, sigma)
-            vals = np.vecdot(va, vb) / (np.linalg.norm(va, axis=1) * np.linalg.norm(vb, axis=1))
+            vals = np.vecdot(unit(va), unit(vb))
             corr, _ = _correlation(vals, baseline)
         results.append((float(sigma), float(corr)))
     return results

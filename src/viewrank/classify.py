@@ -16,7 +16,7 @@ import numpy as np
 
 from . import seeding
 from .ambiguity import split_by_threshold
-from .codebook import roll_components
+from .codebook import roll_components, unit
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -105,12 +105,8 @@ def train(
             raise EmptyTrainSetError(obj.class_id, split.threshold)
         gen = seeding.rng(seed, "train", ci)
         z = _noisy_renders(obj, split.train_quats, noise_sigma, gen, samples_per_rotation)
-        centroid = z.mean(axis=0)
-        n = float(np.linalg.norm(centroid))
-        if n == 0.0:
-            raise ValueError(f"class {obj.class_id!r} produced a zero centroid")
         classes.append(obj.class_id)
-        centroids.append(centroid / n)
+        centroids.append(unit(z.mean(axis=0)))
     return CentroidClassifier(tuple(classes), np.array(centroids), float(threshold), float(noise_sigma))
 
 
@@ -122,11 +118,7 @@ def predict(clf: CentroidClassifier, z: np.ndarray):
     component pairs).  Margin is best minus second-best similarity
     (infinite for a single class).
     """
-    z = np.asarray(z, dtype=float)
-    n = float(np.linalg.norm(z))
-    if n == 0.0:
-        raise ValueError("cannot classify a zero-norm embedding")
-    s = np.hypot(*roll_components(z / n, clf.centroids))
+    s = np.hypot(*roll_components(unit(z), clf.centroids))
     order = np.argsort(-s, kind="stable")
     best = int(order[0])
     margin = float(s[best] - s[int(order[1])]) if len(s) > 1 else math.inf
@@ -153,7 +145,7 @@ def evaluate_on_rotations(
             continue
         idx = gen.integers(0, len(quats), size=n_samples)
         z = _noisy_renders(obj, quats[idx], noise_sigma, gen)
-        s = np.hypot(*roll_components(z / np.linalg.norm(z, axis=1, keepdims=True), clf.centroids))
+        s = np.hypot(*roll_components(unit(z), clf.centroids))
         pred = np.argmax(s, axis=1)
         true_ci = clf.classes.index(obj.class_id)
         correct += int(np.sum(pred == true_ci))

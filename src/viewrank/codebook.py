@@ -3,7 +3,8 @@
 A codebook stores one unit-normalized embedding per view-grid rotation.
 Every query goes through ``Codebook.best``: one exact matrix-vector product
 and one ``argmax``, so ties resolve to the lowest entry index and results
-are reproducible.
+are reproducible.  ``unit`` is the one embedding normalizer, for cosines,
+codebooks and the classifier alike.
 """
 
 from __future__ import annotations
@@ -17,14 +18,31 @@ from .so3 import Rotation, ViewGrid, as_unit_quats
 from .synthworld import SynthObject, render_embeddings
 
 
-def _norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``, refusing a squared norm that is zero or has
-    underflowed (below the smallest normal float), where the root is inaccurate."""
-    x = x.ravel()
-    sq = float(x.dot(x))
-    if sq < np.finfo(float).tiny:
-        raise ValueError("cosine similarity of a zero-norm embedding is undefined")
-    return math.sqrt(sq)
+_MIN_NORM = math.sqrt(np.finfo(float).tiny)
+_NORMALIZE_BLOCK = 4096  # codebook rows normalized at a time
+
+
+def unit(z: np.ndarray) -> np.ndarray:
+    """``z`` over its norm, or each row of an ``(N, d)`` array over its own.
+
+    The norm is numpy's for the shape, ``sqrt(z @ z)`` for a vector and the
+    row-wise ``np.linalg.norm`` for a matrix, so finite inputs keep their
+    bits.  A norm below ``sqrt(tiny)`` is refused: zero, or a squared norm
+    that has underflowed, whose root is inaccurate.  Where the squared norm
+    overflows, the norm is taken of ``z / max|z|`` instead; a non-finite
+    ``z`` is refused.
+    """
+    z = np.asarray(z, dtype=float)
+    rows = {} if z.ndim == 1 else {"axis": -1, "keepdims": True}
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.linalg.norm(z, **rows)
+        over = n == np.inf
+        if over.any():
+            z = np.where(over, z / np.max(np.abs(z), axis=-1, keepdims=True), z)
+            n = np.linalg.norm(z, **rows)
+    if not ((n >= _MIN_NORM) & (n < np.inf)).all():
+        raise ValueError("cannot normalize a zero-norm, underflowing or non-finite embedding")
+    return z / n
 
 
 def cossim(a: np.ndarray, b: np.ndarray) -> float:
@@ -33,7 +51,7 @@ def cossim(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.clip(float(a @ b) / (_norm(a) * _norm(b)), -1.0, 1.0))
+    return float(np.clip(unit(a) @ unit(b), -1.0, 1.0))
 
 
 def roll_components(a: np.ndarray, b: np.ndarray):
@@ -63,9 +81,7 @@ def roll_aligned_cossim(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if a.shape[-1] % 2 != 0:
         raise ValueError("roll alignment requires an even embedding dimension")
-    na, nb = _norm(a), _norm(b)
-    c, s = roll_components(a, b)
-    return float(np.clip(math.hypot(c, s) / (na * nb), -1.0, 1.0))
+    return min(1.0, math.hypot(*roll_components(unit(a), unit(b))))
 
 
 @dataclass(frozen=True)
@@ -103,11 +119,7 @@ class Codebook:
     def best(self, z: np.ndarray) -> tuple:
         """``(index, score)`` of the entry most similar to ``z`` by cosine;
         ties go to the lowest index, and the score is not clipped."""
-        zu = np.asarray(z, dtype=float)
-        n = float(np.linalg.norm(zu))
-        if n == 0.0:
-            raise ValueError("cannot query a codebook with a zero-norm embedding")
-        s = self.embeddings @ (zu / n)
+        s = self.embeddings @ unit(z)
         i = int(np.argmax(s))
         return i, float(s[i])
 
@@ -117,10 +129,10 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     if len(grid) == 0:
         raise ValueError("view grid is empty")
     z = render_embeddings(obj, grid.quats)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("object rendered a zero embedding; degenerate blob layout")
-    z /= norms
+    # In place, a block at a time: a second codebook-sized array would raise
+    # peak memory.
+    for lo in range(0, len(z), _NORMALIZE_BLOCK):
+        z[lo:lo + _NORMALIZE_BLOCK] = unit(z[lo:lo + _NORMALIZE_BLOCK])
     return Codebook(
         quats=grid.quats,
         embeddings=z,

@@ -25,8 +25,6 @@ TERMINATED_BELOW_THRESHOLD = "below_threshold"
 TERMINATED_LOCAL_OPTIMUM = "local_optimum"
 TERMINATED_MOVE_BUDGET = "move_budget"
 
-_SAME_ROTATION_DOT = 1.0 - 1e-12
-
 
 @dataclass(frozen=True)
 class TrajectoryGrid:
@@ -68,17 +66,6 @@ class ReachableSet:
 
     def rotation(self, i: int) -> Rotation:
         return Rotation.wrap(self.quats[i])
-
-    def index_of(self, r: Rotation) -> int | None:
-        dots = np.abs(self.quats @ r.q)
-        i = int(np.argmax(dots))
-        return i if dots[i] >= _SAME_ROTATION_DOT else None
-
-    def with_rotation(self, r: Rotation) -> "ReachableSet":
-        """Same set, extended with ``r`` if it is not already a member."""
-        if self.index_of(r) is not None:
-            return self
-        return ReachableSet(np.vstack([self.quats, r.q]))
 
 
 def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
@@ -129,7 +116,7 @@ class EpisodeResult:
         return {
             "start": self.start.to_json(),
             "visited": [r.to_json() for r in self.visited],
-            "ambiguities": [float(f"{a:.17g}") for a in self.ambiguities],
+            "ambiguities": [float(a) for a in self.ambiguities],
             "predictions": list(self.predictions),
             "moves_used": self.moves_used,
             "terminated_reason": self.terminated_reason,
@@ -169,14 +156,15 @@ def run_episode(
     max_moves: int,
     noise_sigma: float,
     seed: int,
-    start: Rotation | None = None,
+    start: int | None = None,
     policy: str = "next_best",
 ) -> EpisodeResult:
     """One closed-loop episode; see the module docstring for the loop.
 
-    Observation noise at step ``t`` is drawn from the stream derived from
-    ``(seed, "obs", t)`` regardless of the policy, so random and next-best
-    runs with the same seed are paired.
+    ``start`` indexes ``reachable``; by default it is drawn from the stream
+    ``(seed, "start")``.  Observation noise at step ``t`` is drawn from the
+    stream derived from ``(seed, "obs", t)`` regardless of the policy, so
+    random and next-best runs with the same seed are paired.
     """
     if max_moves < 0:
         raise ValueError("max_moves must be >= 0")
@@ -184,16 +172,15 @@ def run_episode(
         raise ValueError("ambiguity_threshold must be in (0, 1]")
     if policy not in ("next_best", "random"):
         raise ValueError(f"unknown policy {policy!r}")
+    if start is None:
+        start = int(seeding.rng(seed, "start").integers(0, len(reachable)))
+    if not 0 <= start < len(reachable):
+        raise ValueError(f"start must index the reachable set, got {start}")
 
     by_class = {obj.class_id: obj for obj in objects}
     true_obj = by_class[true_class]
 
-    if start is None:
-        start_idx = int(seeding.rng(seed, "start").integers(0, len(reachable)))
-        start = reachable.rotation(start_idx)
-    reachable = reachable.with_rotation(start)
-    current_idx = reachable.index_of(start)
-
+    current_idx = start
     visited = []
     ambiguities = []
     predictions = []
@@ -235,7 +222,7 @@ def run_episode(
 
     predicted = predictions[-1]
     return EpisodeResult(
-        start=start,
+        start=visited[0],
         visited=tuple(visited),
         ambiguities=tuple(ambiguities),
         predictions=tuple(predictions),

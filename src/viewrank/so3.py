@@ -121,7 +121,7 @@ class Rotation:
         return geodesic_distance(self, other) <= tol
 
     def to_json(self) -> list:
-        return [float(f"{c:.17g}") for c in self.q]
+        return self.q.tolist()
 
     def __repr__(self) -> str:
         w, x, y, z = self.q

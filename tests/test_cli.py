@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import math
+import warnings
 
 import pytest
 
@@ -158,6 +160,48 @@ class TestCompare:
         with open(tmp_path / "noise_robustness.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 1.0
+
+
+def finite_leaves(value):
+    """Every number in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(finite_leaves(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite_leaves(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestHugeNoise:
+    """A noise level whose squared embedding norm overflows still gives
+    honest, finite results."""
+
+    @pytest.mark.parametrize("section, field, value, command", [
+        ("sweep", "noise_factor", 1e300, "sweep"),
+        ("policy", "noise_factor", 1e300, "simulate"),
+        ("compare", "sigmas", [0.0, 1e300], "compare"),
+    ])
+    def test_exits_0_with_finite_outputs(self, tmp_path, section, field, value, command):
+        m = json.loads(json.dumps(SMALL_MANIFEST))
+        m[section][field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(m))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(path, out, command) == 0
+        for p in out.iterdir():
+            if p.suffix == ".csv":
+                with open(p, newline="") as f:
+                    for row in csv.reader(f):
+                        for cell in row:
+                            try:
+                                x = float(cell)
+                            except ValueError:
+                                continue
+                            assert math.isfinite(x), (p.name, row)
+            elif p.suffix == ".jsonl":
+                for line in p.read_text().splitlines():
+                    assert finite_leaves(json.loads(line)), p.name
 
 
 class TestErrors:

@@ -17,12 +17,73 @@ from viewrank.codebook import (
     hypotheses_for_group,
     roll_aligned_cossim,
     roll_components,
+    unit,
 )
 
 
 vectors = st.lists(
     st.floats(-10, 10, allow_nan=False), min_size=4, max_size=4
 ).filter(lambda v: sum(x * x for x in v) > 1e-6)
+
+EPS = np.finfo(float).eps
+MIN_NORM = math.sqrt(np.finfo(float).tiny)
+
+# Ordinary magnitudes mixed with every finite double, so that norms underflow,
+# overflow and land in between.
+components = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False)
+)
+row_stacks = st.integers(1, 8).flatmap(
+    lambda d: st.lists(st.lists(components, min_size=d, max_size=d), min_size=1, max_size=4)
+)
+
+
+class TestUnit:
+    @given(row_stacks)
+    @example([[3.0, 4.0], [1e300, 1e300]])
+    @example([[0.0, 6.19e-161], [1.0, 0.0]])
+    @example([[0.0, 1.5e-154]])
+    def test_matches_numpy_where_its_norm_is_finite_and_accurate(self, rows):
+        z = np.array(rows)
+        with np.errstate(over="ignore"):
+            vector_norms = [np.linalg.norm(r) for r in z]
+            row_norms = np.linalg.norm(z, axis=1, keepdims=True)
+        for r, n in zip(z, vector_norms):
+            if n < MIN_NORM:
+                with pytest.raises(ValueError, match="zero-norm"):
+                    unit(r)
+            elif math.isfinite(n):
+                assert np.array_equal(unit(r), r / n)
+        if np.any(row_norms < MIN_NORM):
+            with pytest.raises(ValueError, match="zero-norm"):
+                unit(z)
+            return
+        u = unit(z)
+        finite = np.isfinite(row_norms[:, 0])
+        assert np.array_equal(u[finite], z[finite] / row_norms[finite])
+        assert np.all(np.isfinite(u))
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=1, max_size=32).filter(
+            lambda v: sum(x * x for x in v) > 1e-6),
+        st.floats(1e-100, 1e300),
+    )
+    @example([3.0, -4.0], 1e300)
+    @example([1.0, 1e-5, -7.0], 1e-100)
+    def test_scale_invariant_over_300_decades(self, x, scale):
+        x = np.array(x)
+        assert np.max(np.abs(unit(scale * x) - unit(x))) <= 8 * EPS
+        rows = np.stack([x, -x[::-1]])
+        assert np.max(np.abs(unit(scale * rows) - unit(rows))) <= 8 * EPS
+
+    @pytest.mark.parametrize("z", [
+        np.zeros(4), np.zeros((2, 3)), np.array([0.0, 1e-160]),
+        np.array([[1.0, 0.0], [1e-155, 1e-155]]),
+        np.array([np.inf, 1.0]), np.array([np.nan, 0.0]), np.array([[1.0, 0.0], [1.0, -np.inf]]),
+    ])
+    def test_zero_underflowing_or_non_finite_norm_rejected(self, z):
+        with pytest.raises(ValueError, match="zero-norm, underflowing or non-finite"):
+            unit(z)
 
 
 class TestCossim:

@@ -86,26 +86,9 @@ class TestReachableSet:
             ReachableSet(np.array([[-1.0, 0.0, 0.0, 0.0]]))
         assert ReachableSet(np.array([[1.0, 0.0, 0.0, 0.0]])).rotation(0) == so3.Rotation.identity()
 
-    def test_index_of(self, reachable):
-        r = reachable.rotation(7)
-        assert reachable.index_of(r) == 7
-        assert reachable.index_of(so3.Rotation.from_quat(-r.q)) == 7
-        off = so3.Rotation.from_axis_angle([1, 0, 0], 0.05) @ r
-        assert reachable.index_of(off) is None
-
-    def test_with_rotation(self, reachable):
-        member = reachable.rotation(0)
-        assert reachable.with_rotation(member) is reachable
-        extra = so3.look_at([0.0, 0.0, 1.0], 0.7)
-        extended = reachable.with_rotation(extra)
-        assert len(extended) == len(reachable) + 1
-        assert extended.index_of(extra) == len(reachable)
-
     def test_rotations_are_rows(self, reachable):
         for i in range(len(reachable)):
             assert np.array_equal(reachable.rotation(i).q, reachable.quats[i])
-        extra = so3.look_at([0.0, 0.0, 1.0], 0.7)
-        assert np.array_equal(reachable.with_rotation(extra).quats[-1], extra.q)
 
     def test_sphere_reachable(self):
         rs = build_sphere_reachable(50)
@@ -204,20 +187,18 @@ class TestRunEpisode:
         self, pair, codebooks, tables, clf, reachable
     ):
         # Place the object so the start view is its least ambiguous one.
-        start = reachable.rotation(0)
-        true_pose = start @ ambiguity.best_orientation(tables["A"])
+        true_pose = reachable.rotation(0) @ ambiguity.best_orientation(tables["A"])
         ep = self._run(
-            pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=start
+            pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=0
         )
         assert ep.moves_used == 0
         assert ep.terminated_reason == policy.TERMINATED_BELOW_THRESHOLD
         assert ep.correct
 
     def test_hidden_start_moves(self, pair, codebooks, tables, clf, reachable, hidden_rotation):
-        start = reachable.rotation(0)
-        true_pose = start @ hidden_rotation
+        true_pose = reachable.rotation(0) @ hidden_rotation
         ep = self._run(
-            pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=start
+            pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=0
         )
         assert ep.moves_used >= 1
 
@@ -244,20 +225,17 @@ class TestRunEpisode:
 
     def test_visited_in_reachable(self, pair, codebooks, tables, clf, reachable):
         ep = self._run(pair, codebooks, tables, clf, reachable, seed=5)
-        extended = reachable.with_rotation(ep.start)
         for r in ep.visited:
-            assert extended.index_of(r) is not None
             # Visited views are the reachable rows themselves, bit for bit.
-            assert np.any(np.all(extended.quats == r.q, axis=1))
+            assert np.any(np.all(reachable.quats == r.q, axis=1))
 
     def test_random_policy_paired_observations(self, pair, codebooks, tables, clf, reachable):
         # Both policies share the first observation stream, so the first
         # ambiguity estimate is identical under the same seed and start.
-        start = reachable.rotation(4)
         nb = self._run(pair, codebooks, tables, clf, reachable,
-                       noise_sigma=0.05, seed=9, start=start)
+                       noise_sigma=0.05, seed=9, start=4)
         rd = self._run(pair, codebooks, tables, clf, reachable,
-                       noise_sigma=0.05, seed=9, start=start, policy="random")
+                       noise_sigma=0.05, seed=9, start=4, policy="random")
         assert nb.ambiguities[0] == rd.ambiguities[0]
         assert nb.predictions[0] == rd.predictions[0]
 
@@ -268,6 +246,9 @@ class TestRunEpisode:
             self._run(pair, codebooks, tables, clf, reachable, ambiguity_threshold=0.0)
         with pytest.raises(ValueError):
             self._run(pair, codebooks, tables, clf, reachable, policy="greedy")
+        for start in (-1, len(reachable)):
+            with pytest.raises(ValueError, match="start"):
+                self._run(pair, codebooks, tables, clf, reachable, start=start)
 
     def test_json_roundtrip(self, pair, codebooks, tables, clf):
         # Start on a row of the 512-view grid that renormalizing on load
@@ -276,7 +257,8 @@ class TestRunEpisode:
         moved = next(i for i, q in enumerate(sphere.quats)
                      if not np.array_equal(so3.Rotation.from_quat(q).q, q))
         ep = self._run(pair, codebooks, tables, clf, sphere, noise_sigma=0.05, seed=2,
-                       start=sphere.rotation(moved))
+                       start=moved)
+        assert np.array_equal(ep.start.q, sphere.quats[moved])
         data = json.loads(json.dumps(ep.to_json()))
         back = EpisodeResult.from_json(data)
         assert back.true_class == ep.true_class
