@@ -11,7 +11,6 @@ from .ambiguity import (
     AmbiguityTable,
     MatchedPair,
     ThresholdSplit,
-    best_orientation,
     export_sorted_pairs,
     most_similar_view,
     normalize_ambiguity,

@@ -116,36 +116,6 @@ class AmbiguityTable:
         with open(path, "w", newline="\n") as f:
             json.dump(self.to_json(), f)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AmbiguityTable":
-        """Inverse of ``to_json``; rotations load bit for bit, and a row that
-        is not a unit, canonical quaternion is refused."""
-        rows = data["pairs"]
-        r_a, r_b = (
-            as_unit_quats(np.array([p[key] for p in rows], dtype=float).reshape(len(rows), 4))
-            for key in ("r_a", "r_b")
-        )
-        pairs = tuple(
-            MatchedPair(
-                similarity=float(p["similarity"]),
-                r_a=Rotation.wrap(qa),
-                r_b=Rotation.wrap(qb),
-                matched_class=p["matched_class"],
-            )
-            for p, qa, qb in zip(rows, r_a, r_b)
-        )
-        return cls(
-            object_class=data["object_class"],
-            pairs=pairs,
-            ambiguity=np.array(data["ambiguity"], dtype=float),
-            grid_meta=dict(data["grid_meta"]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "AmbiguityTable":
-        with open(path) as f:
-            return cls.from_json(json.load(f))
-
 
 @dataclass(frozen=True)
 class ThresholdSplit:
@@ -192,18 +162,20 @@ def most_similar_view(
     target: SynthObject,
     target_cb: Codebook,
     descent_steps: int = DEFAULT_DESCENT_STEPS,
-    initial_step: float | None = None,
+    *,
+    initial_step: float,
 ):
     """Most similar view of ``target`` to the embedding ``z``.
 
     Seeds from the best codebook entry, then runs ``descent_steps`` sweeps of
-    cyclic coordinate descent over the viewing-direction angles with the step
-    halving each sweep; the in-plane angle is solved in closed form at every
-    evaluation.  Each sweep walks along an improving coordinate and finishes
-    with a parabolic refinement, so only strict improvements are accepted and
-    the similarity is non-decreasing in ``descent_steps``.  Each distinct
-    ``(theta, phi)`` point is evaluated once per call: a point the walk or the
-    refinement revisits reuses its stored ``(sim, roll)``.
+    cyclic coordinate descent over the viewing-direction angles, the step
+    starting at ``initial_step`` radians and halving each sweep; the in-plane
+    angle is solved in closed form at every evaluation.  Each sweep walks
+    along an improving coordinate and finishes with a parabolic refinement,
+    so only strict improvements are accepted and the similarity is
+    non-decreasing in ``descent_steps``.  Each distinct ``(theta, phi)`` point
+    is evaluated once per call: a point the walk or the refinement revisits
+    reuses its stored ``(sim, roll)``.
     ``descent_steps = 0`` returns the codebook seed unchanged.
     Returns ``(rotation, similarity)``.
     """
@@ -214,10 +186,6 @@ def most_similar_view(
     seed_rotation = target_cb.rotation(i)
     if descent_steps == 0:
         return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
-
-    if initial_step is None:
-        n_dirs = int(target_cb.grid_meta.get("n_dirs", len(target_cb)))
-        initial_step = 2.0 * math.sqrt(4.0 * math.pi / n_dirs)
 
     sim = _direction_evaluator(target, unit(z))
     seen = {}  # (theta, phi) -> (sim, roll) of every point evaluated so far
@@ -344,13 +312,6 @@ def split_by_threshold(table: AmbiguityTable, a: float) -> ThresholdSplit:
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {a}")
     return ThresholdSplit(float(a), table.r_a_quats[table.ambiguity < a])
-
-
-def best_orientation(table: AmbiguityTable) -> Rotation:
-    """Orientation with minimal ambiguity; ties resolve to the lowest index."""
-    if len(table) == 0:
-        raise ValueError("table is empty")
-    return table.pairs[int(np.argmin(table.ambiguity))].r_a
 
 
 def export_sorted_pairs(table: AmbiguityTable, path) -> None:

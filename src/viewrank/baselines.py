@@ -82,9 +82,6 @@ class MetricReport:
     spearman: dict     # name -> correlation vs the primary similarity
     pearson: dict
 
-    def __len__(self) -> int:
-        return len(next(iter(self.values.values())))
-
     def scaled_values(self, name: str) -> np.ndarray:
         return normalize_ambiguity(self.values[name])
 

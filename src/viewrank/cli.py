@@ -10,7 +10,7 @@ Subcommands::
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The whole
 manifest is checked before any work, and a command writes its outputs into a
 temporary sibling of ``--out`` that is moved into place only on success, so a
-failed command changes no file in ``--out``.
+failed command changes no file in ``--out`` and creates no ``--out``.
 All randomness derives from the manifest seed; reruns are byte-identical.
 ``--threads`` is accepted (and must be >= 1) but changes neither speed nor
 output.
@@ -220,13 +220,15 @@ def main(argv=None) -> int:
         print(f"viewrank: configuration error: {e}", file=sys.stderr)
         return 2
     try:
-        out: Path = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        target = out.resolve()
-        staging = Path(tempfile.mkdtemp(prefix=f".{target.name}-", dir=target.parent))
+        out: Path = args.out.resolve()
+        if out.exists() and not out.is_dir():
+            raise NotADirectoryError(f"--out {args.out} is not a directory")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
         try:
             _COMMANDS[args.command](m, staging)
             manifest.save(m, staging / "manifest.resolved.json")
+            out.mkdir(exist_ok=True)
             for path in sorted(staging.iterdir()):
                 os.replace(path, out / path.name)
         finally:

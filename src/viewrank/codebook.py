@@ -98,8 +98,6 @@ class Codebook:
     quats: np.ndarray       # (N, 4), unit rows
     embeddings: np.ndarray  # (N, d), unit rows
     class_id: str
-    group_id: str
-    grid_meta: dict
 
     def __post_init__(self):
         quats = as_unit_quats(self.quats)
@@ -133,13 +131,7 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     # peak memory.
     for lo in range(0, len(z), _NORMALIZE_BLOCK):
         z[lo:lo + _NORMALIZE_BLOCK] = unit(z[lo:lo + _NORMALIZE_BLOCK])
-    return Codebook(
-        quats=grid.quats,
-        embeddings=z,
-        class_id=obj.class_id,
-        group_id=obj.group_id,
-        grid_meta={"n_dirs": grid.n_dirs, "n_inplane": grid.n_inplane},
-    )
+    return Codebook(quats=grid.quats, embeddings=z, class_id=obj.class_id)
 
 
 def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:

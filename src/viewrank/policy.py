@@ -125,24 +125,6 @@ class EpisodeResult:
             "correct": self.correct,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "EpisodeResult":
-        """Inverse of ``to_json``; rotations load bit for bit, and a row that
-        is not a unit, canonical quaternion is refused."""
-        rows = [data["start"], *data["visited"]]
-        quats = so3.as_unit_quats(np.array(rows, dtype=float).reshape(len(rows), 4))
-        return cls(
-            start=Rotation.wrap(quats[0]),
-            visited=tuple(Rotation.wrap(q) for q in quats[1:]),
-            ambiguities=tuple(data["ambiguities"]),
-            predictions=tuple(data["predictions"]),
-            moves_used=data["moves_used"],
-            terminated_reason=data["terminated_reason"],
-            predicted_class=data["predicted_class"],
-            true_class=data["true_class"],
-            correct=data["correct"],
-        )
-
 
 def run_episode(
     objects,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VIEW_AXIS = np.array([0.0, 0.0, 1.0])
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 _UNIT_TOL = 1e-9
@@ -58,22 +57,9 @@ class Rotation:
         return r
 
     @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
     def from_quat(cls, q) -> "Rotation":
         w, x, y, z = (float(v) for v in q)
         return cls(w, x, y, z)
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Rotation":
-        a = np.asarray(axis, dtype=float)
-        n = math.sqrt(float(a @ a))
-        if n < 1e-12:
-            raise ValueError("axis has zero norm")
-        s = math.sin(angle / 2.0) / n
-        return cls(math.cos(angle / 2.0), a[0] * s, a[1] * s, a[2] * s)
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         """Composition: ``(a @ b)`` applies ``b`` first, then ``a``."""
@@ -83,31 +69,10 @@ class Rotation:
         w, x, y, z = self.q
         return Rotation(w, -x, -y, -z)
 
-    def apply(self, v) -> np.ndarray:
-        """Rotate a 3-vector."""
-        w, x, y, z = self.q
-        u = np.array([x, y, z])
-        v = np.asarray(v, dtype=float)
-        return v + 2.0 * np.cross(u, np.cross(u, v) + w * v)
-
-    def to_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
     def view_direction(self) -> np.ndarray:
         """Image of the canonical view axis (+z) under this rotation."""
         w, x, y, z = self.q
         return np.array([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)])
-
-    def roll_angle(self) -> float:
-        """In-plane roll: angle of ``look_at(view_direction)^-1 @ self`` about z."""
-        return float(roll_angles(self.q))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rotation):
@@ -116,9 +81,6 @@ class Rotation:
 
     def __hash__(self) -> int:
         return hash(self.q.tobytes())
-
-    def isclose(self, other: "Rotation", tol: float = 1e-9) -> bool:
-        return geodesic_distance(self, other) <= tol
 
     def to_json(self) -> list:
         return self.q.tolist()

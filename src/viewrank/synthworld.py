@@ -163,14 +163,15 @@ def render_embedding(
     obj: SynthObject,
     r: Rotation,
     noise_sigma: float = 0.0,
-    noise_seed=None,
+    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Embedding of one view, optionally with isotropic Gaussian noise."""
+    """Embedding of one view, optionally with isotropic Gaussian noise drawn
+    from ``rng`` (a fresh, unseeded generator if none is given)."""
     if noise_sigma < 0.0:
         raise ValueError("noise_sigma must be >= 0")
     z = render_embeddings(obj, r.q[None, :])[0]
     if noise_sigma > 0.0:
-        gen = noise_seed if isinstance(noise_seed, np.random.Generator) else np.random.default_rng(noise_seed)
+        gen = np.random.default_rng() if rng is None else rng
         z = z + gen.normal(0.0, noise_sigma, size=z.shape)
     return z
 

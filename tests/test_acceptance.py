@@ -17,7 +17,7 @@ import pytest
 
 from viewrank import ambiguity, classify, cli, manifest, policy, so3, synthworld
 from viewrank.baselines import metric_comparison, blob_match_similarity
-from viewrank.codebook import build_codebook, estimate_pose, roll_aligned_cossim
+from viewrank.codebook import build_codebook, estimate_pose
 
 
 _CAPTURE_MANAGER = None

@@ -68,7 +68,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="noise_sigma"):
             train(list(pair), splits, noise_sigma=-0.1)
         with pytest.raises(ValueError, match="noise_sigma"):
-            classify._noisy_renders(pair[0], so3.Rotation.identity().q[None], -1e-9,
+            classify._noisy_renders(pair[0], np.array([[1.0, 0.0, 0.0, 0.0]]), -1e-9,
                                     np.random.default_rng(0))
 
     def test_validation(self, pair, splits):
@@ -87,7 +87,7 @@ class TestPredict:
         # Clean views at low-ambiguity orientations should be easy.
         a, b = pair
         for obj, tab in ((a, tables["A"]), (b, tables["B"])):
-            r = ambiguity.best_orientation(tab)
+            r = so3.Rotation.wrap(tab.r_a_quats[np.argmin(tab.ambiguity)])
             z = synthworld.render_embedding(obj, r)
             cls, margin = predict(clf, z)
             assert cls == obj.class_id

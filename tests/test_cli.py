@@ -8,8 +8,7 @@ import warnings
 
 import pytest
 
-from viewrank import baselines, cli
-from viewrank.ambiguity import AmbiguityTable
+from viewrank import baselines, cli, manifest
 
 SMALL_MANIFEST = {
     "seed": 0,
@@ -67,11 +66,13 @@ class TestRank:
             "hashes.json", "manifest.resolved.json",
         }
 
-    def test_tables_load(self, out):
+    def test_tables_load(self, out, assert_table_json):
+        m = manifest.load(out / "manifest.resolved.json")
+        objects = cli._build_world(m)
+        tables = cli._build_tables(m, objects, cli._build_codebooks(m, objects))
         for cls in ("A", "B"):
-            table = AmbiguityTable.load(out / f"ambiguity_{cls}.json")
-            assert table.object_class == cls
-            assert len(table) == SMALL_MANIFEST["ranking"]["coarse_dirs"]
+            assert len(tables[cls]) == SMALL_MANIFEST["ranking"]["coarse_dirs"]
+            assert_table_json(out / f"ambiguity_{cls}.json", tables[cls])
 
     def test_hashes_match_files(self, out):
         hashes = json.loads((out / "hashes.json").read_text())
@@ -264,17 +265,40 @@ class TestErrors:
         assert run(bad, out, "rank") == 2
         assert not out.exists()
 
-    def test_failed_command_leaves_no_outputs(self, tmp_path, manifest_path, monkeypatch):
-        # The sweep runs after the metric CSVs are written; its failure must
-        # leave neither those CSVs nor the staging directory behind.
+    @pytest.fixture
+    def failing_compare(self, monkeypatch):
+        # The noise sweep runs after the metric CSVs are written; its failure
+        # must leave neither those CSVs nor the staging directory behind.
         def fail(*args, **kwargs):
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(baselines, "noise_robustness_sweep", fail)
+
+    def test_failed_command_leaves_no_outputs(self, tmp_path, manifest_path, failing_compare):
         out = tmp_path / "out"
         assert run(manifest_path, out, "compare") == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_command_keeps_existing_out(self, tmp_path, manifest_path, failing_compare):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("earlier run")
+        assert run(manifest_path, out, "compare") == 1
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "earlier run"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_runtime_failure_creates_no_out(self, tmp_path):
+        # No blob lands inside so small a patch, so the run fails after the
+        # manifest is accepted.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SMALL_MANIFEST, world=dict(
+            SMALL_MANIFEST["world"], patch_radius=1e-3))))
+        out = tmp_path / "nested" / "out"
+        assert run(bad, out, "sweep") == 1
+        assert not out.exists()
+        assert list(out.parent.iterdir()) == []
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.json", tmp_path / "out", "rank") == 2

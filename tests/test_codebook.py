@@ -261,11 +261,7 @@ class TestBuildCodebook:
     def test_metadata(self, codebooks, codebook_grid):
         cb_a, cb_b = codebooks
         assert cb_a.class_id == "A" and cb_b.class_id == "B"
-        assert cb_a.group_id == cb_b.group_id == "pair-0"
-        assert cb_a.grid_meta == {
-            "n_dirs": codebook_grid.n_dirs,
-            "n_inplane": codebook_grid.n_inplane,
-        }
+        assert cb_a.quats is cb_b.quats is codebook_grid.quats
 
     def test_entries_match_renderer(self, pair, codebooks, codebook_grid):
         a, _ = pair
@@ -290,8 +286,6 @@ class TestBuildCodebook:
                 quats=cb.quats[:-1],
                 embeddings=cb.embeddings,
                 class_id="A",
-                group_id="g",
-                grid_meta={},
             )
 
 
@@ -335,7 +329,7 @@ class TestScoresAndEstimatePose:
     def test_tie_breaks_to_lowest_index(self):
         grid = so3.build_view_grid(1, 3)
         emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cb = Codebook(quats=grid.quats, embeddings=emb, class_id="A", group_id="g", grid_meta={})
+        cb = Codebook(quats=grid.quats, embeddings=emb, class_id="A")
         assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == grid.rotation(0)
 
 
@@ -369,8 +363,7 @@ class TestGroupQueries:
             n = data.draw(st.integers(1, 8))
             rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
             codebooks.append(Codebook(quats=so3.build_view_grid(n, 1).quats,
-                                      embeddings=pool[rows], class_id=cls, group_id="g",
-                                      grid_meta={}))
+                                      embeddings=pool[rows], class_id=cls))
         z = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
         if not z.any():
             z[0] = 1.0
@@ -382,8 +375,7 @@ class TestGroupQueries:
     def test_equal_scores_keep_codebook_order(self):
         grid = so3.build_view_grid(2, 1)
         emb = np.array([[0.0, 1.0], [1.0, 0.0]])
-        codebooks = [Codebook(quats=grid.quats, embeddings=emb[::step], class_id=cls,
-                              group_id="g", grid_meta={})
+        codebooks = [Codebook(quats=grid.quats, embeddings=emb[::step], class_id=cls)
                      for cls, step in (("B", 1), ("A", -1))]
         hyps = hypotheses_for_group(codebooks, np.array([3.0, 0.0]))
         assert [h.class_id for h in hyps] == ["B", "A"]
@@ -411,7 +403,7 @@ class TestCodebookJson:
         quats = cb.quats.copy()
         quats[3] = -quats[3]
         with pytest.raises(ValueError, match="canonical"):
-            Codebook(quats, cb.embeddings, cb.class_id, cb.group_id, dict(cb.grid_meta))
+            Codebook(quats, cb.embeddings, cb.class_id)
 
     def test_query_does_not_mutate(self, codebooks):
         cb = codebooks[0]

@@ -31,6 +31,22 @@ def rotations(draw_quats=unit_quats):
     return draw_quats.map(lambda q: Rotation(*q))
 
 
+IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
+
+
+def scipy_rotation(r):
+    """``r`` as a scipy rotation, which orders quaternions ``(x, y, z, w)``."""
+    w, x, y, z = r.q
+    return ScipyRotation.from_quat([x, y, z, w])
+
+
+def from_axis_angle(axis, angle):
+    """Oracle rotation by ``angle`` about ``axis``, built by scipy."""
+    axis = np.asarray(axis, dtype=float)
+    x, y, z, w = ScipyRotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_quat()
+    return Rotation(w, x, y, z)
+
+
 def reference_look_at(direction, roll=0.0):
     """Scalar oracle: ``look_at`` as one ``Rotation`` per call, composed and
     renormalized step by step (with its half-turn snap near -z)."""
@@ -104,7 +120,7 @@ class TestRotation:
     def test_double_cover_collapsed(self, r):
         flipped = Rotation.from_quat(-r.q)
         assert np.allclose(flipped.q, r.q, atol=1e-15)
-        assert flipped.isclose(r, 1e-12)
+        assert geodesic_distance(flipped, r) <= 1e-12
 
     def test_canonical_sign(self):
         r = Rotation(-0.5, 0.5, 0.5, 0.5)
@@ -119,23 +135,18 @@ class TestRotation:
 
     @given(rotations())
     def test_inverse_composes_to_identity(self, r):
-        assert geodesic_distance(r @ r.inverse(), Rotation.identity()) < 1e-9
+        assert geodesic_distance(r @ r.inverse(), IDENTITY) < 1e-9
 
     @given(rotations())
-    def test_matrix_matches_scipy(self, r):
-        w, x, y, z = r.q
-        expected = ScipyRotation.from_quat([x, y, z, w]).as_matrix()
-        assert np.allclose(r.to_matrix(), expected, atol=1e-9)
+    def test_view_direction_matches_scipy(self, r):
+        expected = scipy_rotation(r).apply([0.0, 0.0, 1.0])
+        assert np.allclose(r.view_direction(), expected, atol=1e-9)
 
     @given(rotations(), rotations())
     def test_composition_matches_scipy(self, a, b):
-        m = (a @ b).to_matrix()
-        assert np.allclose(m, a.to_matrix() @ b.to_matrix(), atol=1e-9)
-
-    @given(rotations())
-    def test_apply_matches_matrix(self, r):
-        v = np.array([0.3, -1.2, 2.0])
-        assert np.allclose(r.apply(v), r.to_matrix() @ v, atol=1e-9)
+        m = scipy_rotation(a @ b).as_matrix()
+        assert np.allclose(m, scipy_rotation(a).as_matrix() @ scipy_rotation(b).as_matrix(),
+                           atol=1e-9)
 
     def test_json_roundtrip(self):
         r = Rotation(0.3, -0.7, 0.1, 0.64)
@@ -152,7 +163,7 @@ class TestRotation:
 class TestFibonacciDirections:
     def test_single_direction_is_pole(self):
         (d,) = fibonacci_directions(1)
-        assert np.array_equal(d, so3.VIEW_AXIS)
+        assert np.array_equal(d, [0.0, 0.0, 1.0])
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -194,7 +205,7 @@ class TestBuildViewGrid:
     def test_one_direction_four_rolls(self):
         grid = build_view_grid(1, 4)
         assert len(grid) == 4
-        rolls = sorted(grid.rotation(i).roll_angle() % (2.0 * math.pi) for i in range(4))
+        rolls = np.sort(so3.roll_angles(grid.quats) % (2.0 * math.pi))
         assert np.allclose(rolls, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], atol=1e-9)
 
     def test_product_count(self):
@@ -206,7 +217,7 @@ class TestBuildViewGrid:
         for i in range(len(grid)):
             r = grid.rotation(i)
             d = dirs[i // 4]
-            assert np.allclose(r.apply(so3.VIEW_AXIS), d, atol=1e-9)
+            assert np.allclose(scipy_rotation(r).apply([0.0, 0.0, 1.0]), d, atol=1e-9)
             assert np.allclose(r.view_direction(), d, atol=1e-9)
 
     def test_zero_counts_rejected(self):
@@ -214,13 +225,6 @@ class TestBuildViewGrid:
             build_view_grid(0, 4)
         with pytest.raises(ValueError):
             build_view_grid(4, 0)
-
-    def test_orthonormal_positive_determinant(self):
-        grid = build_view_grid(16, 3)
-        for i in range(len(grid)):
-            m = grid.rotation(i).to_matrix()
-            assert np.allclose(m @ m.T, np.eye(3), atol=1e-9)
-            assert abs(np.linalg.det(m) - 1.0) < 1e-9
 
     def test_direction_spacing(self):
         grid = build_view_grid(100, 1)
@@ -280,7 +284,7 @@ class TestLookAt:
     def test_roll_angle_recovered(self):
         d = np.array([0.6, -0.48, 0.64])
         r = look_at(d, 1.234)
-        assert r.roll_angle() % (2 * math.pi) == pytest.approx(1.234, abs=1e-9)
+        assert float(so3.roll_angles(r.q)) % (2 * math.pi) == pytest.approx(1.234, abs=1e-9)
 
     def test_antipodal_direction(self):
         r = look_at([0.0, 0.0, -1.0])
@@ -320,8 +324,8 @@ class TestGeodesicDistance:
         assert geodesic_distance(r, r) == 0.0
 
     def test_half_turn(self):
-        half = Rotation.from_axis_angle([0, 0, 1], math.pi)
-        assert geodesic_distance(Rotation.identity(), half) == pytest.approx(math.pi)
+        half = from_axis_angle([0, 0, 1], math.pi)
+        assert geodesic_distance(IDENTITY, half) == pytest.approx(math.pi)
 
     def test_double_cover_zero(self):
         r = Rotation(0.3, -0.7, 0.1, 0.64)
@@ -338,8 +342,8 @@ class TestGeodesicDistance:
 
     def test_matches_axis_angle(self):
         for angle in (1e-8, 1e-4, 0.5, 2.0, 3.0):
-            r = Rotation.from_axis_angle([1, 2, 2], angle)
-            assert geodesic_distance(Rotation.identity(), r) == pytest.approx(angle, rel=1e-9)
+            r = from_axis_angle([1, 2, 2], angle)
+            assert geodesic_distance(IDENTITY, r) == pytest.approx(angle, rel=1e-9)
 
     @given(rotations(), rotations(), rotations())
     @settings(max_examples=50)
@@ -372,8 +376,9 @@ class TestVectorizedHelpers:
         for i in range(len(grid)):
             r = grid.rotation(i)
             assert np.allclose(dirs[i], r.view_direction(), atol=1e-12)
-            assert math.cos(rolls[i]) == pytest.approx(math.cos(r.roll_angle()), abs=1e-9)
-            assert math.sin(rolls[i]) == pytest.approx(math.sin(r.roll_angle()), abs=1e-9)
+            roll = float(so3.roll_angles(r.q))
+            assert math.cos(rolls[i]) == pytest.approx(math.cos(roll), abs=1e-9)
+            assert math.sin(rolls[i]) == pytest.approx(math.sin(roll), abs=1e-9)
 
     def test_random_rotation_deterministic(self):
         a = so3.random_rotation(np.random.default_rng(5))

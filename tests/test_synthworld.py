@@ -157,7 +157,7 @@ class TestRenderEmbedding:
     def test_continuity(self, pair):
         a, _ = pair
         r = so3.look_at([0.0, 1.0, 0.0])
-        step = so3.Rotation.from_axis_angle([1.0, 0.0, 0.0], 1e-5)
+        step = so3.Rotation(math.cos(0.5e-5), math.sin(0.5e-5), 0.0, 0.0)  # 1e-5 rad about x
         z0 = render_embedding(a, r)
         z1 = render_embedding(a, step @ r)
         norm = mean_embedding_norm(a)
@@ -166,9 +166,9 @@ class TestRenderEmbedding:
     def test_noise_reproducible_and_scaled(self, pair):
         a, _ = pair
         r = so3.look_at([0.0, 0.0, 1.0])
-        z1 = render_embedding(a, r, noise_sigma=0.5, noise_seed=7)
-        z2 = render_embedding(a, r, noise_sigma=0.5, noise_seed=7)
-        z3 = render_embedding(a, r, noise_sigma=0.5, noise_seed=8)
+        z1 = render_embedding(a, r, noise_sigma=0.5, rng=np.random.default_rng(7))
+        z2 = render_embedding(a, r, noise_sigma=0.5, rng=np.random.default_rng(7))
+        z3 = render_embedding(a, r, noise_sigma=0.5, rng=np.random.default_rng(8))
         assert np.array_equal(z1, z2)
         assert not np.array_equal(z1, z3)
         clean = render_embedding(a, r)
@@ -180,9 +180,12 @@ class TestRenderEmbedding:
         a, _ = pair
         r = so3.look_at([1.0, 0.0, 0.0])
         gen = np.random.default_rng(3)
-        z1 = render_embedding(a, r, noise_sigma=0.2, noise_seed=gen)
-        z2 = render_embedding(a, r, noise_sigma=0.2, noise_seed=np.random.default_rng(3))
-        assert np.array_equal(z1, z2)
+        z1 = render_embedding(a, r, noise_sigma=0.2, rng=gen)
+        z2 = render_embedding(a, r, noise_sigma=0.2, rng=gen)
+        clean = render_embedding(a, r)
+        noise = np.random.default_rng(3).normal(0.0, 0.2, size=clean.shape)
+        assert np.array_equal(z1, clean + noise)
+        assert not np.array_equal(z1, z2)  # the stream moves on
 
 
 class TestPatchVisible:
