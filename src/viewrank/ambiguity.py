@@ -136,22 +136,27 @@ def _direction_evaluator(target: SynthObject, z_unit: np.ndarray):
     """Best similarity over in-plane angle for a viewing direction (theta, phi).
 
     The embedding at a fixed direction is ``M(roll) @ s`` for the direction's
-    weighted descriptor sum ``s``, so the similarity maximized over roll is
-    ``hypot(C, S) / |s|`` with ``C, S = roll_components(z_unit, s)``; the
-    argmax roll is ``atan2(S, C)``.  Returns ``(sim, roll)``.
+    weighted descriptor sum ``s = w @ descriptors``, so the similarity
+    maximized over roll is ``hypot(C, S) / |s|`` with ``C, S =
+    roll_components(z_unit, s)``; the argmax roll is ``atan2(S, C)``.  The
+    kernel is linear in ``s``, so each point takes ``s``, ``C`` and ``S`` from
+    one product of ``w`` with ``[descriptors | C_i | S_i]``, the per-blob
+    components taken once here.  Returns ``(sim, roll)``.
     """
     positions = target.positions
-    descriptors = target.descriptors
+    d = target.descriptor_dim
+    basis = np.column_stack([target.descriptors, *roll_components(z_unit, target.descriptors)])
 
     def sim(theta: float, phi: float):
         w = positions @ so3.unit_vector(theta, phi)
         np.maximum(w, 0.0, out=w)
         w *= w
-        s = w @ descriptors
+        t = w @ basis
+        s = t[:d]
         n = math.sqrt(float(s.dot(s)))
         if n == 0.0:
             return -1.0, 0.0
-        c, sn = roll_components(z_unit, s)
+        c, sn = t[d], t[d + 1]
         return math.hypot(c, sn) / n, math.atan2(sn, c)
 
     return sim

@@ -1,9 +1,12 @@
 """Per-object embedding codebooks and cosine-similarity pose queries.
 
-A codebook stores one unit-normalized embedding per view-grid rotation.
-Every query goes through ``Codebook.best``: one exact matrix-vector product
-and one ``argmax``, so ties resolve to the lowest entry index and results
-are reproducible.  ``unit`` is the one embedding normalizer, for cosines,
+A codebook holds a direction-major view grid's rotations and one unit roll-0
+embedding per direction.  The renderer is roll-equivariant, so the entry at
+direction ``j`` and roll ``r`` has cosine ``C_j cos r - S_j sin r`` with a
+unit query, for ``(C_j, S_j)`` from ``roll_components``.  Every query goes
+through ``Codebook.best``, which scores only the directions whose amplitude
+``hypot(C_j, S_j)`` can reach the best score; ties resolve to the lowest
+entry index.  ``unit`` is the one embedding normalizer, for cosines,
 codebooks and the classifier alike.
 """
 
@@ -19,7 +22,7 @@ from .synthworld import SynthObject, render_embeddings
 
 
 _MIN_NORM = math.sqrt(np.finfo(float).tiny)
-_NORMALIZE_BLOCK = 4096  # codebook rows normalized at a time
+_EPS = np.finfo(float).eps
 
 
 def unit(z: np.ndarray) -> np.ndarray:
@@ -93,17 +96,22 @@ class PoseHypothesis:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Immutable (rotation, unit embedding) arrays for one object."""
+    """Immutable grid rotations and unit roll-0 embeddings of one object.
 
-    quats: np.ndarray       # (N, 4), unit rows
-    embeddings: np.ndarray  # (N, d), unit rows
+    ``quats`` is the direction-major grid, row ``j * n + k`` being direction
+    ``j`` at roll ``2 pi k / n`` for ``n = len(quats) // len(embeddings)``;
+    ``embeddings`` holds ``n_dirs * d * 8`` bytes, one row per direction.
+    """
+
+    quats: np.ndarray       # (n_dirs * n, 4), unit rows
+    embeddings: np.ndarray  # (n_dirs, d), unit roll-0 rows
     class_id: str
 
     def __post_init__(self):
         quats = as_unit_quats(self.quats)
         emb = np.asarray(self.embeddings, dtype=float)
-        if emb.shape[0] != len(quats):
-            raise ValueError("entry count does not match rotation count")
+        if len(emb) == 0 or len(quats) % len(emb) != 0:
+            raise ValueError("entry count does not divide rotation count")
         emb.flags.writeable = False
         object.__setattr__(self, "quats", quats)
         object.__setattr__(self, "embeddings", emb)
@@ -115,22 +123,33 @@ class Codebook:
         return Rotation.wrap(self.quats[i])
 
     def best(self, z: np.ndarray) -> tuple:
-        """``(index, score)`` of the entry most similar to ``z`` by cosine;
-        ties go to the lowest index, and the score is not clipped."""
-        s = self.embeddings @ unit(z)
-        i = int(np.argmax(s))
-        return i, float(s[i])
+        """``(index, score)`` of the grid entry most similar to ``z`` by
+        cosine; ties go to the lowest index, and the score is not clipped."""
+        n = len(self.quats) // len(self.embeddings)
+        rolls = 2.0 * math.pi * np.arange(n) / n
+        cos, sin = np.cos(rolls), np.sin(rolls)
+        c, s = roll_components(self.embeddings, unit(z))
+        amp = np.hypot(c, s)
+        lead = int(np.argmax(amp))
+        top = float(np.max(c[lead] * cos - s[lead] * sin))
+        # Over its rolls direction j scores at most amp_j: C cos - S sin and
+        # |C cos| + |S sin| are at most amp_j hypot(cos, sin) <= amp_j (1 + eps),
+        # rounding adds at most 2 eps of the latter, and the computed amp_j is
+        # within eps of exact.  No computed score tops amp_j (1 + 4 eps +
+        # O(eps^2)), so 8 eps keeps every direction that can reach or tie ``top``.
+        # Subnormal products break the relative bound: below sqrt(tiny), keep all.
+        keep = np.flatnonzero(amp * (1.0 + 8.0 * _EPS) >= (top if top >= _MIN_NORM else 0.0))
+        scores = c[keep, None] * cos - s[keep, None] * sin
+        r, k = divmod(int(np.argmax(scores)), n)
+        return int(keep[r]) * n + k, float(scores[r, k])
 
 
 def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
-    """Noise-free embeddings of every grid rotation, normalized per entry."""
+    """Noise-free unit embeddings of the grid's roll-0 rotations, one per
+    direction."""
     if len(grid) == 0:
         raise ValueError("view grid is empty")
-    z = render_embeddings(obj, grid.quats)
-    # In place, a block at a time: a second codebook-sized array would raise
-    # peak memory.
-    for lo in range(0, len(z), _NORMALIZE_BLOCK):
-        z[lo:lo + _NORMALIZE_BLOCK] = unit(z[lo:lo + _NORMALIZE_BLOCK])
+    z = unit(render_embeddings(obj, grid.quats[::grid.n_inplane]))
     return Codebook(quats=grid.quats, embeddings=z, class_id=obj.class_id)
 
 

@@ -20,13 +20,18 @@ from viewrank.ambiguity import (
     rank_object,
     split_by_threshold,
 )
-from viewrank.codebook import build_codebook, roll_aligned_cossim, roll_components
+from viewrank.codebook import build_codebook, roll_aligned_cossim, roll_components, unit
 
 
 def reference_direction_evaluator(target, z_unit, points=None):
-    """Scalar oracle for ``ambiguity._direction_evaluator``; logs each point in ``points``."""
+    """Scalar oracle for ``ambiguity._direction_evaluator``; logs each point in ``points``.
+
+    ``C`` and ``S`` come from the weights against the per-blob components, in
+    the same product as the descriptor sum."""
     positions = target.positions
-    descriptors = target.descriptors
+    d = target.descriptor_dim
+    basis = np.hstack([target.descriptors,
+                       np.stack(roll_components(z_unit, target.descriptors), axis=1)])
 
     def sim(theta, phi):
         if points is not None:
@@ -34,32 +39,31 @@ def reference_direction_evaluator(target, z_unit, points=None):
         sin_t = math.sin(theta)
         v = np.array([sin_t * math.cos(phi), sin_t * math.sin(phi), math.cos(theta)])
         w = np.clip(positions @ v, 0.0, None) ** 2
-        s = w @ descriptors
-        n = float(np.linalg.norm(s))
+        t = w @ basis
+        n = float(np.linalg.norm(t[:d]))
         if n == 0.0:
             return -1.0, 0.0
-        c, sn = roll_components(z_unit, s)
-        return math.hypot(c, sn) / n, math.atan2(sn, c)
+        return math.hypot(t[d], t[d + 1]) / n, math.atan2(t[d + 1], t[d])
 
     return sim
 
 
 def reference_most_similar_view(z, target, target_cb, descent_steps, initial_step, points=None):
     """Scalar oracle for ``most_similar_view``: the descent that evaluates every
-    probe afresh, repeats included; logs each evaluated point in ``points``."""
+    probe afresh, repeats included, from the ``Codebook.best`` seed; logs each
+    evaluated point in ``points``."""
     z = np.asarray(z, dtype=float)
     z_unit = z / float(np.linalg.norm(z))
-    scores = target_cb.embeddings @ z_unit
-    i = int(np.argmax(scores))
+    i, seed_score = target_cb.best(z)
     seed_rotation = target_cb.rotation(i)
     if descent_steps == 0:
-        return seed_rotation, float(np.clip(scores[i], -1.0, 1.0))
+        return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
     sim = reference_direction_evaluator(target, z_unit, points)
     v0 = seed_rotation.view_direction()
     x = [math.acos(max(-1.0, min(1.0, v0[2]))), math.atan2(v0[1], v0[0])]
     best, roll = sim(*x)
-    best = max(best, float(scores[i]))
+    best = max(best, seed_score)
 
     step = float(initial_step)
     for _ in range(descent_steps):
@@ -157,6 +161,61 @@ class TestMostSimilarView:
                 for k in (0, 1, 2, 3, 5, 8, 13, 21)]
         for lo, hi in zip(sims, sims[1:]):
             assert hi >= lo
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_blobs=st.integers(64, 160),
+        patch_radius=st.floats(0.2, 1.2),
+        pick=st.floats(0.0, 1.0),
+        roll=st.floats(0.0, 2.0 * math.pi),
+    )
+    # The ``pair`` fixture's world.
+    @example(seed=0, n_blobs=512, patch_radius=math.pi / 3.0, pick=0.5, roll=0.0)
+    def test_saturates_where_patch_hidden(self, seed, n_blobs, patch_radius, pick, roll):
+        # A view hiding every differing blob renders bit for bit as the twin's
+        # view, so the descent reaches it; a view facing a differing blob by
+        # more than 0.02 cannot.  Views grazing the patch may saturate within
+        # the tolerance and are not drawn.  Worlds of 20-30 blobs are not
+        # drawn either: their descent can stop at a local optimum short of
+        # the twin's view.
+        a, b, cb = small_world(seed, n_blobs, patch_radius)
+        dirs = so3.fibonacci_directions(256)
+        facing = np.max(dirs @ a.positions[synthworld.differing_blobs(a, b)].T, axis=1)
+        step = 2.0 * math.sqrt(4.0 * math.pi / 64)
+        for group, saturates in ((facing <= 0.0, True), (facing > 0.02, False)):
+            candidates = dirs[group]
+            v = candidates[min(int(pick * len(candidates)), len(candidates) - 1)]
+            z = synthworld.render_embedding(a, so3.look_at(v, roll))
+            _, s = most_similar_view(z, b, cb, initial_step=step)
+            assert (s >= 1.0 - 1e-12) == saturates
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_blobs=st.integers(16, 96),
+        patch_radius=st.floats(0.2, 1.2),
+        view=st.tuples(st.floats(0.0, math.pi), st.floats(-math.pi, math.pi)),
+        point=st.tuples(st.floats(-1.0, 4.0), st.floats(-4.0, 4.0)),
+        noise=st.sampled_from([0.0, 0.05, 0.5]),
+    )
+    def test_evaluator_matches_components_of_the_sum(self, seed, n_blobs, patch_radius, view,
+                                                     point, noise):
+        # Per-blob components summed by the weights match the components of
+        # the weighted descriptor sum, up to rounding.
+        a, b, _ = small_world(seed, n_blobs, patch_radius)
+        z = synthworld.render_embedding(a, so3.look_at(so3.unit_vector(*view)),
+                                        classify.default_noise_sigma(a, noise),
+                                        np.random.default_rng(seed))
+        z_unit = unit(z)
+        sim, _ = ambiguity._direction_evaluator(b, z_unit)(*point)
+        w = np.maximum(b.positions @ so3.unit_vector(*point), 0.0) ** 2
+        s = w @ b.descriptors
+        n = float(np.linalg.norm(s))
+        if n == 0.0:
+            assert sim == -1.0
+        else:
+            assert abs(sim - math.hypot(*roll_components(z_unit, s)) / n) <= 1e-13
 
     def test_zero_steps_returns_codebook_seed(self, pair, codebooks, initial_step):
         a, b = pair

@@ -1,5 +1,6 @@
 """Codebook construction, cosine queries, the roll kernel, and pose estimation."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viewrank import so3, synthworld
+from viewrank import classify, codebook, so3, synthworld
 from viewrank.codebook import (
     Codebook,
     PoseHypothesis,
@@ -173,9 +174,15 @@ class TestRollAlignedCossim:
 even_dims = st.integers(1, 6).map(lambda k: 2 * k)
 
 
+def expand(obj, cb):
+    """The rendered full grid of a codebook: one unit row per rotation."""
+    return unit(synthworld.render_embeddings(obj, cb.quats))
+
+
 def reference_best(cb, z):
-    """Full-scan oracle for ``Codebook.best``: every score, then the first
-    index of a stable sort by score descending."""
+    """Full-scan oracle for ``Codebook.best`` on a codebook with one roll per
+    direction, whose embeddings are its full grid: every score, then the
+    first index of a stable sort by score descending."""
     zu = np.asarray(z, dtype=float)
     s = cb.embeddings @ (zu / np.linalg.norm(zu))
     i = int(np.argsort(-s, kind="stable")[0])
@@ -264,10 +271,28 @@ class TestBuildCodebook:
         assert cb_a.quats is cb_b.quats is codebook_grid.quats
 
     def test_entries_match_renderer(self, pair, codebooks, codebook_grid):
+        # Row j is the roll-0 render of direction j, grid rotation j * n.
         a, _ = pair
-        i = 137
-        z = synthworld.render_embedding(a, codebook_grid.rotation(i))
-        assert np.allclose(codebooks[0].embeddings[i], z / np.linalg.norm(z), atol=1e-12)
+        n = codebook_grid.n_inplane
+        assert codebooks[0].embeddings.shape == (codebook_grid.n_dirs, a.descriptor_dim)
+        for j in (0, 137, codebook_grid.n_dirs - 1):
+            z = synthworld.render_embedding(a, codebook_grid.rotation(j * n))
+            assert np.allclose(codebooks[0].embeddings[j], z / np.linalg.norm(z), atol=1e-12)
+
+    def test_memory_is_one_row_per_direction(self, pair, monkeypatch):
+        # A 16384 x 72 grid renders and holds 16384 rows, not 1,179,648.
+        a, _ = pair
+        rendered = []
+
+        def counting(obj, quats):
+            rendered.append(len(quats))
+            return synthworld.render_embeddings(obj, quats)
+
+        monkeypatch.setattr(codebook, "render_embeddings", counting)
+        cb = build_codebook(a, so3.build_view_grid(16384, 72))
+        assert sum(rendered) == 16384
+        assert len(cb) == 16384 * 72
+        assert cb.embeddings.nbytes == 16384 * a.descriptor_dim * 8
 
     def test_embeddings_write_protected(self, codebooks):
         with pytest.raises(ValueError):
@@ -287,6 +312,16 @@ class TestBuildCodebook:
                 embeddings=cb.embeddings,
                 class_id="A",
             )
+        with pytest.raises(ValueError):
+            Codebook(quats=cb.quats, embeddings=cb.embeddings[:0], class_id="A")
+
+
+@functools.lru_cache(maxsize=None)
+def small_codebook(seed, n_dirs, n_inplane):
+    """A small object, its codebook and the codebook's expanded full grid."""
+    a, _ = synthworld.make_ambiguous_pair(seed, n_blobs=48, d=8)
+    cb = build_codebook(a, so3.build_view_grid(n_dirs, n_inplane))
+    return a, cb, expand(a, cb)
 
 
 class TestScoresAndEstimatePose:
@@ -294,7 +329,7 @@ class TestScoresAndEstimatePose:
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.0, 1.0, 0.0]))
         i, s = codebooks[0].best(z)
-        assert s == pytest.approx(cossim(codebooks[0].embeddings[i], z), abs=1e-12)
+        assert s == pytest.approx(cossim(expand(a, codebooks[0])[i], z), abs=1e-12)
 
     def test_zero_query_rejected(self, codebooks):
         with pytest.raises(ValueError):
@@ -311,12 +346,49 @@ class TestScoresAndEstimatePose:
     def test_matches_brute_force(self, pair, codebooks):
         a, _ = pair
         cb = codebooks[0]
+        rows = expand(a, cb)
         rng = np.random.default_rng(6)
         for _ in range(10):
             z = synthworld.render_embedding(a, so3.random_rotation(rng))
             hyp = estimate_pose(cb, z)
-            best = max(range(len(cb)), key=lambda i: (cossim(cb.embeddings[i], z), -i))
+            best = max(range(len(cb)), key=lambda i: (cossim(rows[i], z), -i))
             assert hyp.rotation == cb.rotation(best)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        n_dirs=st.sampled_from([1, 7, 64]),
+        n_inplane=st.sampled_from([1, 2, 3, 12, 36]),
+        query_seed=st.integers(0, 2**32 - 1),
+        noise=st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+        duplicated=st.booleans(),
+    )
+    def test_pruned_query_is_a_full_grid_maximizer(self, seed, n_dirs, n_inplane, query_seed,
+                                                   noise, duplicated):
+        a, cb, rows = small_codebook(seed, n_dirs, n_inplane)
+        rng = np.random.default_rng(query_seed)
+        if duplicated:
+            # Every direction twice, so the best score is always tied with a
+            # later direction, and the first copy must win.
+            order = rng.permutation(np.repeat(np.arange(n_dirs), 2))
+            cb = Codebook(so3.build_view_grid(2 * n_dirs, n_inplane).quats,
+                          cb.embeddings[order], "A")
+            rows = rows.reshape(n_dirs, n_inplane, -1)[order].reshape(len(cb), -1)
+        z = synthworld.render_embedding(a, so3.random_rotation(rng),
+                                        classify.default_noise_sigma(a, noise), rng)
+        i, s = cb.best(z)
+        u = unit(z)
+        full = rows @ u
+        assert full[i] >= np.max(full) - 4 * EPS
+        assert abs(s - full[i]) <= 4 * EPS
+        # The closed form over every direction, none pruned.
+        c, sn = roll_components(cb.embeddings, u)
+        rolls = 2.0 * math.pi * np.arange(n_inplane) / n_inplane
+        scores = (c[:, None] * np.cos(rolls) - sn[:, None] * np.sin(rolls)).ravel()
+        assert (i, s) == (int(np.argmax(scores)), float(np.max(scores)))
+        if duplicated:
+            j = i // n_inplane
+            assert j == int(np.flatnonzero(order == order[j])[0])
 
     def test_scale_invariance(self, pair, codebooks):
         a, _ = pair

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from viewrank import ambiguity, classify, policy, so3, synthworld
 from viewrank.codebook import PoseHypothesis
@@ -241,15 +243,25 @@ class TestRunEpisode:
             # Visited views are the reachable rows themselves, bit for bit.
             assert np.any(np.all(reachable.quats == r.q, axis=1))
 
-    def test_random_policy_paired_observations(self, pair, codebooks, tables, clf, reachable):
-        # Both policies share the first observation stream, so the first
-        # ambiguity estimate is identical under the same seed and start.
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), start=st.integers(0, 2**16))
+    @example(seed=9, start=4)
+    def test_random_policy_paired_observations(self, pair, codebooks, tables, clf, reachable,
+                                               seed, start):
+        # Observation noise at step t comes from the stream (seed, "obs", t)
+        # under both policies, so the first observation is shared, and so is
+        # every later one taken from the same camera at the same step.
+        start %= len(reachable)
         nb = self._run(pair, codebooks, tables, clf, reachable,
-                       noise_sigma=0.05, seed=9, start=4)
+                       noise_sigma=0.05, seed=seed, start=start)
         rd = self._run(pair, codebooks, tables, clf, reachable,
-                       noise_sigma=0.05, seed=9, start=4, policy="random")
+                       noise_sigma=0.05, seed=seed, start=start, policy="random")
         assert nb.ambiguities[0] == rd.ambiguities[0]
         assert nb.predictions[0] == rd.predictions[0]
+        for t, (cam_nb, cam_rd) in enumerate(zip(nb.visited, rd.visited)):
+            if cam_nb == cam_rd:
+                assert nb.ambiguities[t] == rd.ambiguities[t]
+                assert nb.predictions[t] == rd.predictions[t]
 
     def test_validation(self, pair, codebooks, tables, clf, reachable):
         with pytest.raises(ValueError):
