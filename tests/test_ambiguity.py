@@ -207,6 +207,7 @@ class TestMostSimilarView:
         z = synthworld.render_embedding(a, so3.look_at(so3.unit_vector(*view)),
                                         classify.default_noise_sigma(a, noise),
                                         np.random.default_rng(seed))
+        assume(np.any(z))
         z_unit = unit(z)
         sim, _ = ambiguity._direction_evaluator(b, z_unit)(*point)
         w = np.maximum(b.positions @ so3.unit_vector(*point), 0.0) ** 2

@@ -18,7 +18,6 @@ numpy and its BLAS configuration.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
@@ -26,7 +25,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -132,12 +130,10 @@ def codebook_figures(tree: Path) -> dict:
 def machine() -> dict:
     cpu = next((line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text()
                 .splitlines() if line.startswith("model name")), platform.processor())
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        np.show_config()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": buf.getvalue()}
+            "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")}}
 
 
 def commit(tree: Path) -> str:
