@@ -188,7 +188,7 @@ def most_similar_view(
         raise ValueError("descent_steps must be >= 0")
     z = np.asarray(z, dtype=float)
     i, seed_score = target_cb.best(z)  # refuses a zero-norm z
-    seed_rotation = target_cb.rotation(i)
+    seed_rotation = Rotation(target_cb.quats[i])
     if descent_steps == 0:
         return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
@@ -292,7 +292,7 @@ def rank_object(
             if best is None or s > best[0]:
                 best = (s, r_b, other.class_id)
         s, r_b, cls = best
-        return MatchedPair(s, coarse_grid.rotation(idx), r_b, cls)
+        return MatchedPair(s, Rotation(coarse_grid.quats[idx]), r_b, cls)
 
     matched = [rank_one(i) for i in range(len(coarse_grid))]
 

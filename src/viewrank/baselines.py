@@ -138,7 +138,7 @@ def metric_comparison(
         else:
             rows = zip(table.r_a_quats, table.r_b_quats, table.matched_class)
             values[name] = np.array([
-                blob_match_similarity(obj, Rotation.wrap(qa), others_by_class[c], Rotation.wrap(qb))
+                blob_match_similarity(obj, Rotation(qa), others_by_class[c], Rotation(qb))
                 for qa, qb, c in rows
             ])
     spearman = {}

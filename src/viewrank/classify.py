@@ -35,8 +35,6 @@ class EmptyTrainSetError(ValueError):
 class CentroidClassifier:
     classes: tuple
     centroids: np.ndarray  # (C, d), unit rows
-    threshold: float
-    noise_sigma: float
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=float)
@@ -91,7 +89,9 @@ def train(
     """One normalized mean embedding per class over its train rotations.
 
     ``objects`` and ``splits`` are parallel lists; any empty train set raises
-    ``EmptyTrainSetError`` naming the class and threshold.
+    ``EmptyTrainSetError`` naming the class and threshold.  Where the mean
+    overflows, the mean of ``z / max|z|`` is normalized instead, as ``unit``
+    does with an overflowing norm.
     """
     if samples_per_rotation < 1:
         raise ValueError("samples_per_rotation must be >= 1")
@@ -99,15 +99,18 @@ def train(
         raise ValueError("objects and splits must be parallel lists")
     classes = []
     centroids = []
-    threshold = splits[0].threshold if splits else 0.0
     for ci, (obj, split) in enumerate(zip(objects, splits)):
         if len(split.train_quats) == 0:
             raise EmptyTrainSetError(obj.class_id, split.threshold)
         gen = seeding.rng(seed, "train", ci)
         z = _noisy_renders(obj, split.train_quats, noise_sigma, gen, samples_per_rotation)
+        with np.errstate(over="ignore"):
+            mean = z.mean(axis=0)
+        if not np.isfinite(mean).all():
+            mean = (z / np.max(np.abs(z))).mean(axis=0)
         classes.append(obj.class_id)
-        centroids.append(unit(z.mean(axis=0)))
-    return CentroidClassifier(tuple(classes), np.array(centroids), float(threshold), float(noise_sigma))
+        centroids.append(unit(mean))
+    return CentroidClassifier(tuple(classes), np.array(centroids))
 
 
 def predict(clf: CentroidClassifier, z: np.ndarray):

@@ -119,9 +119,6 @@ class Codebook:
     def __len__(self) -> int:
         return len(self.quats)
 
-    def rotation(self, i: int) -> Rotation:
-        return Rotation.wrap(self.quats[i])
-
     def best(self, z: np.ndarray) -> tuple:
         """``(index, score)`` of the grid entry most similar to ``z`` by
         cosine; ties go to the lowest index, and the score is not clipped."""
@@ -160,7 +157,7 @@ def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
 
 
 def _hypothesis(cb: Codebook, i: int, score: float) -> PoseHypothesis:
-    return PoseHypothesis(cb.class_id, cb.rotation(i), float(np.clip(score, -1.0, 1.0)))
+    return PoseHypothesis(cb.class_id, Rotation(cb.quats[i]), float(np.clip(score, -1.0, 1.0)))
 
 
 def hypotheses_for_group(codebooks, z: np.ndarray) -> list:

@@ -64,9 +64,6 @@ class ReachableSet:
     def __len__(self) -> int:
         return len(self.quats)
 
-    def rotation(self, i: int) -> Rotation:
-        return Rotation.wrap(self.quats[i])
-
 
 def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
     """Look-at rotations (roll 0) for every circle/azimuth sample."""
@@ -83,7 +80,7 @@ def build_sphere_reachable(n_dirs: int) -> ReachableSet:
 def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:
     """Reachable orientation ``r`` minimizing the mean table ambiguity of the
     hypotheses seen from it (lookup key ``r^-1 @ r_hyp``); ties by lowest index."""
-    return reachable.rotation(_next_best_index(hypotheses, tables, reachable))
+    return Rotation(reachable.quats[_next_best_index(hypotheses, tables, reachable)])
 
 
 def _next_best_index(hypotheses, tables, reachable: ReachableSet) -> int:
@@ -168,9 +165,10 @@ def run_episode(
     predictions = []
     moves = 0
     while True:
-        camera = reachable.rotation(current_idx)
+        camera = Rotation(reachable.quats[current_idx])
         visited.append(camera)
-        rel_true = camera.inverse() @ true_pose
+        inverse = so3.normalize(so3.quat_conj(camera.q))  # normalized before it is composed
+        rel_true = Rotation(so3.normalize(so3.quat_mul(inverse, true_pose.q)))
         z = render_embedding(
             true_obj, rel_true, noise_sigma, seeding.rng(seed, "obs", len(visited) - 1)
         )
@@ -185,7 +183,10 @@ def run_episode(
 
         nbv_idx = current_idx
         if policy == "next_best":
-            world_hyps = [replace(h, rotation=camera @ h.rotation) for h in hyps]
+            world_hyps = [
+                replace(h, rotation=Rotation(so3.normalize(so3.quat_mul(camera.q, h.rotation.q))))
+                for h in hyps
+            ]
             nbv_idx = _next_best_index(world_hyps, tables, reachable)
         elif len(reachable) > 1:
             # A uniform pick among the other members, without listing them.

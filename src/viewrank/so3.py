@@ -22,57 +22,28 @@ import numpy as np
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 _UNIT_TOL = 1e-9
+_LEAD_WEIGHTS = np.array([8.0, 4.0, 2.0, 1.0])
 
 
 class Rotation:
-    """A rotation stored as a canonicalized unit quaternion ``(w, x, y, z)``."""
+    """One rotation: a read-only, canonical unit quaternion row ``(w, x, y, z)``.
+
+    ``Rotation(q)`` keeps ``q`` bit for bit, without renormalizing.  ``q``
+    must already be unit and canonical, such as a row of a rotation-set array
+    or an output of ``normalize``; renormalizing such a row can move its last
+    bit.  All rotation arithmetic runs on arrays: ``normalize``, ``quat_mul``,
+    ``quat_conj`` and ``view_directions``.
+    """
 
     __slots__ = ("q",)
 
-    def __init__(self, w: float, x: float, y: float, z: float):
-        q = np.array([w, x, y, z], dtype=float)
-        n = math.sqrt(float(q @ q))
-        if not math.isfinite(n) or n < 1e-12:
-            raise ValueError("quaternion norm is zero or non-finite")
-        q /= n
-        # Double cover collapsed: make the first nonzero component positive.
-        for c in q:
-            if c != 0.0:
-                if c < 0.0:
-                    q = -q
-                break
-        self.q = q
+    def __init__(self, q):
+        self.q = np.array(q, dtype=float)
         self.q.flags.writeable = False
-
-    @classmethod
-    def wrap(cls, q) -> "Rotation":
-        """The rotation ``q`` kept bit for bit, without renormalizing.
-
-        ``q`` must already be a unit, canonical quaternion, such as a row of
-        a rotation-set array; renormalizing such a row can move its last bit.
-        """
-        r = cls.__new__(cls)
-        r.q = np.array(q, dtype=float)
-        r.q.flags.writeable = False
-        return r
-
-    @classmethod
-    def from_quat(cls, q) -> "Rotation":
-        w, x, y, z = (float(v) for v in q)
-        return cls(w, x, y, z)
-
-    def __matmul__(self, other: "Rotation") -> "Rotation":
-        """Composition: ``(a @ b)`` applies ``b`` first, then ``a``."""
-        return Rotation.from_quat(quat_mul(self.q, other.q))
-
-    def inverse(self) -> "Rotation":
-        w, x, y, z = self.q
-        return Rotation(w, -x, -y, -z)
 
     def view_direction(self) -> np.ndarray:
         """Image of the canonical view axis (+z) under this rotation."""
-        w, x, y, z = self.q
-        return np.array([2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)])
+        return view_directions(self.q)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Rotation):
@@ -132,9 +103,6 @@ class ViewGrid:
     def __len__(self) -> int:
         return len(self.quats)
 
-    def rotation(self, i: int) -> Rotation:
-        return Rotation.wrap(self.quats[i])
-
     def direction_spacing(self) -> float:
         """Expected angular spacing of the direction lattice, sqrt(4*pi/n)."""
         return math.sqrt(4.0 * math.pi / self.n_dirs)
@@ -169,33 +137,31 @@ def look_at(direction, roll: float = 0.0) -> Rotation:
     about the view axis *before* the alignment, so the viewed direction is
     unchanged while the image rotates in-plane.
     """
-    return Rotation.wrap(look_at_quats([direction], (roll,))[0])
+    return Rotation(look_at_quats([direction], (roll,))[0])
 
 
 def look_at_quats(directions, rolls=(0.0,)) -> np.ndarray:
     """``look_at(d, roll).q`` for every direction row ``d`` and every roll.
 
     Returns an ``(M * K, 4)`` array in direction-major order for ``M``
-    directions and ``K`` rolls.  Each row is computed as the scalar
-    composition would be: the direction and the base alignment normalized
-    (the base twice, as alignment and as a rotation), the roll built as a
-    ``Rotation``, their product normalized, every quaternion canonicalized.
-    Squared norms use ``np.vecdot``, which rounds like the 1-d ``q @ q``.
+    directions and ``K`` rolls.  The direction is normalized, the base
+    alignment is normalized twice (as alignment and as a rotation), and the
+    roll quaternion and the product of the two are normalized once each.
     """
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
         raise ValueError(f"directions must form an (M, 3) array, got shape {d.shape}")
     n = np.sqrt(np.vecdot(d, d))
-    if not np.all((n >= 1e-12) & np.isfinite(n)):
+    if not (n.min(initial=math.inf) >= 1e-12 and n.max(initial=0.0) < math.inf):
         raise ValueError("direction has zero or non-finite norm")
-    base = _canonical(_unit(_unit(_look_at_base(d / n[:, None]))))
+    base = normalize(normalize(_look_at_base(d / n[:, None])))
     out = np.empty((len(d), len(rolls), 4))
     for j, roll in enumerate(rolls):
         if roll == 0.0:
             out[:, j] = base
         else:
-            spin = Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
-            out[:, j] = _canonical(_unit(quat_mul(base, spin.q)))
+            spin = normalize([math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0)])
+            out[:, j] = normalize(quat_mul(base, spin))
     return out.reshape(-1, 4)
 
 
@@ -273,10 +239,12 @@ def _look_at_base(d: np.ndarray) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     rows = d.reshape(-1, 3)
-    w = 1.0 + rows[:, 2]
-    q = np.stack([w, -rows[:, 1], rows[:, 0], np.zeros_like(w)], axis=-1)
-    near = w < 1e-12
-    if np.any(near):
+    q = np.zeros((len(rows), 4))
+    q[:, 0] = 1.0 + rows[:, 2]
+    q[:, 1] = -rows[:, 1]
+    q[:, 2] = rows[:, 0]
+    near = q[:, 0] < 1e-12
+    if near.any():
         dn = rows[near]
         qn = q[near]
         qn[:, 0] = (dn[:, 0] * dn[:, 0] + dn[:, 1] * dn[:, 1]) / (1.0 - dn[:, 2])
@@ -288,19 +256,24 @@ def _look_at_base(d: np.ndarray) -> np.ndarray:
     return q.reshape(d.shape[:-1] + (4,))
 
 
-def _unit(q: np.ndarray) -> np.ndarray:
-    return q / np.sqrt(np.vecdot(q, q))[..., None]
+def normalize(quats) -> np.ndarray:
+    """Unit, canonical quaternions from a ``(4,)`` row or an ``(..., 4)`` array.
 
-
-def _canonical(q: np.ndarray) -> np.ndarray:
-    """``(M, 4)`` rows with their first nonzero component made positive, in
-    place, as ``Rotation`` does."""
-    lead = q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)]
-    q[lead < 0.0] *= -1.0
+    Each row is divided by its norm, then negated if its first nonzero
+    component is negative.  A norm below 1e-12 or not finite is refused.
+    Squared norms use ``np.vecdot``, so a row of a batch gets the same bits
+    as the row alone.
+    """
+    q = np.asarray(quats, dtype=float)
+    n = np.sqrt(np.vecdot(q, q))
+    if not (n.min(initial=math.inf) >= 1e-12 and n.max(initial=0.0) < math.inf):
+        raise ValueError("quaternion norm is zero or non-finite")
+    q = q / n[..., None]
+    # sign(q) . (8, 4, 2, 1) has the sign of the first nonzero component.
+    q *= np.sign(np.sign(q).dot(_LEAD_WEIGHTS))[..., None]
     return q
 
 
 def random_rotation(rng: np.random.Generator) -> Rotation:
     """Uniform random rotation (normalized 4-d Gaussian quaternion)."""
-    q = rng.normal(size=4)
-    return Rotation.from_quat(q)
+    return Rotation(normalize(rng.normal(size=4)))

@@ -154,7 +154,7 @@ def test_criterion_03_descent_monotone_and_near_oracle(world, default_codebooks)
     )
     queries = synthworld.render_embeddings(a, coarse.quats)
     oracle = _fine_oracle_similarities(b, queries, 16 * DEFAULTS["ranking"]["coarse_dirs"])
-    descent = np.array([by_steps[32][coarse.rotation(i)] for i in range(len(coarse))])
+    descent = np.array([by_steps[32][so3.Rotation(coarse.quats[i])] for i in range(len(coarse))])
     exceed_frac = float(np.mean(oracle - descent > 1e-3))
     _report(
         3, "descent monotonicity and oracle gap",

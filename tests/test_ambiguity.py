@@ -55,7 +55,7 @@ def reference_most_similar_view(z, target, target_cb, descent_steps, initial_ste
     z = np.asarray(z, dtype=float)
     z_unit = z / float(np.linalg.norm(z))
     i, seed_score = target_cb.best(z)
-    seed_rotation = target_cb.rotation(i)
+    seed_rotation = so3.Rotation(target_cb.quats[i])
     if descent_steps == 0:
         return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
@@ -224,7 +224,7 @@ class TestMostSimilarView:
         cb = codebooks[1]
         r0, s0 = most_similar_view(z, b, cb, descent_steps=0, initial_step=initial_step)
         i, score = cb.best(z)
-        assert r0 == cb.rotation(i)
+        assert r0 == so3.Rotation(cb.quats[i])
         assert s0 == pytest.approx(score, abs=1e-12)
 
     def test_descent_beats_seed(self, pair, codebooks, visible_rotation, initial_step):
@@ -466,7 +466,7 @@ class TestTableQueries:
     def test_nearest_uses_quaternion_double_cover(self, tables):
         t = tables["A"]
         r = t.pairs[5].r_a
-        flipped = so3.Rotation.from_quat(-r.q)
+        flipped = so3.Rotation(so3.normalize(-r.q))
         assert t.nearest_index(flipped) == 5
 
     def test_json_roundtrip(self, tmp_path, pair, codebooks, assert_table_json):
@@ -518,7 +518,7 @@ class TestSplitByThreshold:
     def test_train_orientations_hide_patch_at_low_threshold(self, pair, tables):
         split = split_by_threshold(tables["A"], 0.05)
         assert len(split.train_quats) > 0
-        visible = [synthworld.patch_visible(pair, so3.Rotation.wrap(q)) for q in split.train_quats]
+        visible = [synthworld.patch_visible(pair, so3.Rotation(q)) for q in split.train_quats]
         assert np.mean(visible) > 0.9
 
     def test_monotone_in_threshold(self, tables):
@@ -536,7 +536,7 @@ class TestSplitByThreshold:
 class TestBestOrientation:
     def test_best_orientation_shows_patch(self, pair, tables):
         t = tables["A"]
-        best = so3.Rotation.wrap(t.r_a_quats[np.argmin(t.ambiguity)])
+        best = so3.Rotation(t.r_a_quats[np.argmin(t.ambiguity)])
         assert synthworld.patch_visible(pair, best)
 
 
@@ -556,7 +556,7 @@ class TestExportSortedPairs:
             assert row[11] == t.pairs[i].matched_class
         # Quaternions round-trip through the .17g formatting.
         q = [float(v) for v in rows[1][3:7]]
-        assert so3.geodesic_distance(so3.Rotation.from_quat(q), t.pairs[0].r_a) <= 1e-12
+        assert so3.geodesic_distance(so3.Rotation(so3.normalize(q)), t.pairs[0].r_a) <= 1e-12
 
     def test_unwritable_path(self, tables, tmp_path):
         with pytest.raises(OSError, match="sorted pairs"):

@@ -81,7 +81,7 @@ class TestBlobMatchSimilarity:
     def test_mismatched_objects_rejected(self, pair):
         a, _ = pair
         small, _ = synthworld.make_ambiguous_pair(1, n_blobs=16, d=8)
-        r = so3.Rotation(1.0, 0.0, 0.0, 0.0)
+        r = so3.Rotation([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             blob_match_similarity(a, r, small, r)
 

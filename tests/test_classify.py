@@ -38,8 +38,6 @@ class TestTrain:
         assert clf.classes == ("A", "B")
         assert clf.centroids.shape == (2, a.descriptor_dim)
         assert np.allclose(np.linalg.norm(clf.centroids, axis=1), 1.0, atol=1e-12)
-        assert clf.threshold == 0.5
-        assert clf.noise_sigma == 0.0
 
     def test_deterministic(self, pair, splits):
         c1 = train(list(pair), splits, noise_sigma=0.1, seed=3)
@@ -87,7 +85,7 @@ class TestPredict:
         # Clean views at low-ambiguity orientations should be easy.
         a, b = pair
         for obj, tab in ((a, tables["A"]), (b, tables["B"])):
-            r = so3.Rotation.wrap(tab.r_a_quats[np.argmin(tab.ambiguity)])
+            r = so3.Rotation(tab.r_a_quats[np.argmin(tab.ambiguity)])
             z = synthworld.render_embedding(obj, r)
             cls, margin = predict(clf, z)
             assert cls == obj.class_id

@@ -173,13 +173,15 @@ def finite_leaves(value):
 
 
 class TestHugeNoise:
-    """A noise level whose squared embedding norm overflows still gives
-    honest, finite results."""
+    """A noise level whose squared embedding norm, or whose centroid sum,
+    overflows still gives honest, finite results."""
 
     @pytest.mark.parametrize("section, field, value, command", [
         ("sweep", "noise_factor", 1e300, "sweep"),
         ("policy", "noise_factor", 1e300, "simulate"),
         ("compare", "sigmas", [0.0, 1e300], "compare"),
+        ("sweep", "noise_factor", 1e307, "sweep"),
+        ("policy", "noise_factor", 1e307, "simulate"),
     ])
     def test_exits_0_with_finite_outputs(self, tmp_path, section, field, value, command):
         m = json.loads(json.dumps(SMALL_MANIFEST))

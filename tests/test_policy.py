@@ -23,14 +23,25 @@ from viewrank.policy import (
 )
 
 
+def compose(a, b):
+    """``a`` after ``b``, as a normalized Hamilton product."""
+    return so3.Rotation(so3.normalize(so3.quat_mul(a.q, b.q)))
+
+
+def relative(camera, pose):
+    """``camera^-1`` after ``pose``; the inverse is normalized before it is
+    composed, as ``run_episode`` does."""
+    return compose(so3.Rotation(so3.normalize(so3.quat_conj(camera.q))), pose)
+
+
 def expected_ambiguity(r_next, hypotheses, tables) -> float:
     """Scalar oracle for next_best_view: mean table ambiguity seen from ``r_next``.
 
     Each hypothesis rotation is the (world-frame) object orientation for its
     class; the lookup key is the relative orientation ``r_next^T @ r_hyp``.
     """
-    inv = r_next.inverse()
-    return sum(tables[h.class_id].lookup(inv @ h.rotation) for h in hypotheses) / len(hypotheses)
+    return sum(tables[h.class_id].lookup(relative(r_next, h.rotation))
+               for h in hypotheses) / len(hypotheses)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +83,7 @@ class TestTrajectoryGrid:
         grid = TrajectoryGrid.evenly_spaced(2, 10)
         rs = build_trajectory_reachable(grid)
         for i in range(len(rs)):
-            r = rs.rotation(i)
+            r = so3.Rotation(rs.quats[i])
             theta = grid.circles[i // grid.steps]
             assert r.view_direction()[2] == pytest.approx(math.cos(theta), abs=1e-12)
             # Trajectory views carry zero in-plane roll.
@@ -97,11 +108,11 @@ class TestReachableSet:
     def test_non_canonical_row_rejected(self):
         with pytest.raises(ValueError, match="canonical"):
             ReachableSet(np.array([[-1.0, 0.0, 0.0, 0.0]]))
-        assert ReachableSet(np.array([[1.0, 0.0, 0.0, 0.0]])).rotation(0) == so3.Rotation(1, 0, 0, 0)
+        assert np.array_equal(ReachableSet(np.array([[1.0, 0.0, 0.0, 0.0]])).quats, [[1, 0, 0, 0]])
 
     def test_rotations_are_rows(self, reachable):
         for i in range(len(reachable)):
-            assert np.array_equal(reachable.rotation(i).q, reachable.quats[i])
+            assert np.array_equal(so3.Rotation(reachable.quats[i]).q, reachable.quats[i])
 
     def test_sphere_reachable(self):
         rs = build_sphere_reachable(50)
@@ -115,10 +126,10 @@ class TestExpectedAmbiguity:
             PoseHypothesis("A", so3.random_rotation(rng), 0.9),
             PoseHypothesis("B", so3.random_rotation(rng), 0.8),
         ]
-        r = reachable.rotation(3)
+        r = so3.Rotation(reachable.quats[3])
         manual = 0.5 * (
-            tables["A"].lookup(r.inverse() @ hyps[0].rotation)
-            + tables["B"].lookup(r.inverse() @ hyps[1].rotation)
+            tables["A"].lookup(relative(r, hyps[0].rotation))
+            + tables["B"].lookup(relative(r, hyps[1].rotation))
         )
         assert expected_ambiguity(r, hyps, tables) == pytest.approx(manual, abs=1e-15)
 
@@ -131,7 +142,7 @@ class TestNextBestView:
     def test_singleton_reachable(self, tables):
         only = so3.look_at([0.0, 1.0, 0.0])
         rs = ReachableSet(only.q[None, :])
-        hyp = PoseHypothesis("A", so3.Rotation(1, 0, 0, 0), 1.0)
+        hyp = PoseHypothesis("A", so3.Rotation([1.0, 0.0, 0.0, 0.0]), 1.0)
         assert next_best_view([hyp], tables, rs) == only
 
     def test_matches_exhaustive_argmin(self, tables, reachable):
@@ -142,10 +153,10 @@ class TestNextBestView:
                 PoseHypothesis("B", so3.random_rotation(rng), 0.7),
             ]
             best = next_best_view(hyps, tables, reachable)
-            vals = [expected_ambiguity(reachable.rotation(i), hyps, tables)
+            vals = [expected_ambiguity(so3.Rotation(reachable.quats[i]), hyps, tables)
                     for i in range(len(reachable))]
             i = int(np.argmin(vals))
-            assert best == reachable.rotation(i)
+            assert best == so3.Rotation(reachable.quats[i])
             assert expected_ambiguity(best, hyps, tables) == pytest.approx(min(vals), abs=1e-12)
 
     def test_membership(self, tables, reachable):
@@ -164,7 +175,7 @@ class TestNextBestView:
             pose = so3.random_rotation(rng)
             hyps = [PoseHypothesis("A", pose, 1.0), PoseHypothesis("B", pose, 1.0)]
             nbv = next_best_view(hyps, tables, rs)
-            if synthworld.patch_visible(pair, nbv.inverse() @ pose):
+            if synthworld.patch_visible(pair, relative(nbv, pose)):
                 hits += 1
         assert hits >= 95
 
@@ -201,7 +212,7 @@ class TestRunEpisode:
     ):
         # Place the object so the start view is its least ambiguous one.
         least = tables["A"].r_a_quats[np.argmin(tables["A"].ambiguity)]
-        true_pose = reachable.rotation(0) @ so3.Rotation.wrap(least)
+        true_pose = compose(so3.Rotation(reachable.quats[0]), so3.Rotation(least))
         ep = self._run(
             pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=0
         )
@@ -210,7 +221,7 @@ class TestRunEpisode:
         assert ep.correct
 
     def test_hidden_start_moves(self, pair, codebooks, tables, clf, reachable, hidden_rotation):
-        true_pose = reachable.rotation(0) @ hidden_rotation
+        true_pose = compose(so3.Rotation(reachable.quats[0]), hidden_rotation)
         ep = self._run(
             pair, codebooks, tables, clf, reachable, true_pose=true_pose, start=0
         )
@@ -279,7 +290,7 @@ class TestRunEpisode:
         # would move.
         sphere = build_sphere_reachable(512)
         moved = next(i for i, q in enumerate(sphere.quats)
-                     if not np.array_equal(so3.Rotation.from_quat(q).q, q))
+                     if not np.array_equal(so3.normalize(q), q))
         ep = self._run(pair, codebooks, tables, clf, sphere, noise_sigma=0.05, seed=2,
                        start=moved)
         assert np.array_equal(ep.start.q, sphere.quats[moved])
@@ -369,8 +380,8 @@ class TestRunExperiment:
 class TestSuccessWithinBudget:
     def test_prefix_semantics(self, pair, codebooks, tables, clf, reachable):
         ep = EpisodeResult(
-            start=reachable.rotation(0),
-            visited=tuple(reachable.rotation(i) for i in range(3)),
+            start=so3.Rotation(reachable.quats[0]),
+            visited=tuple(so3.Rotation(reachable.quats[i]) for i in range(3)),
             ambiguities=(0.9, 0.6, 0.1),
             predictions=("B", "A", "A"),
             moves_used=2,

@@ -15,6 +15,9 @@ from viewrank.so3 import (
     fibonacci_directions,
     geodesic_distance,
     look_at,
+    normalize,
+    quat_conj,
+    quat_mul,
 )
 
 
@@ -28,15 +31,48 @@ unit_quats = st.tuples(
 
 
 def rotations(draw_quats=unit_quats):
-    return draw_quats.map(lambda q: Rotation(*q))
+    return draw_quats.map(lambda q: Rotation(normalize(q)))
 
 
-IDENTITY = Rotation(1.0, 0.0, 0.0, 0.0)
+IDENTITY = Rotation([1.0, 0.0, 0.0, 0.0])
 
 
-def scipy_rotation(r):
-    """``r`` as a scipy rotation, which orders quaternions ``(x, y, z, w)``."""
-    w, x, y, z = r.q
+def reference_normalize(q):
+    """Scalar oracle for ``normalize`` on one row: divide by
+    ``sqrt(q @ q)``, then negate if the first nonzero component is negative."""
+    q = np.array(q, dtype=float)
+    n = math.sqrt(float(q @ q))
+    if not math.isfinite(n) or n < 1e-12:
+        raise ValueError("quaternion norm is zero or non-finite")
+    q /= n
+    for c in q:
+        if c != 0.0:
+            if c < 0.0:
+                q = -q
+            break
+    return q
+
+
+def reference_quat_mul(a, b):
+    """Scalar oracle for ``quat_mul``: the Hamilton product in Python floats."""
+    w1, x1, y1, z1 = (float(c) for c in a)
+    w2, x2, y2, z2 = (float(c) for c in b)
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def compose(a, b):
+    """``a`` after ``b``, as a normalized Hamilton product."""
+    return Rotation(normalize(quat_mul(a.q, b.q)))
+
+
+def scipy_rotation(q):
+    """Quaternion row ``q`` as a scipy rotation, which orders ``(x, y, z, w)``."""
+    w, x, y, z = q
     return ScipyRotation.from_quat([x, y, z, w])
 
 
@@ -44,12 +80,12 @@ def from_axis_angle(axis, angle):
     """Oracle rotation by ``angle`` about ``axis``, built by scipy."""
     axis = np.asarray(axis, dtype=float)
     x, y, z, w = ScipyRotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_quat()
-    return Rotation(w, x, y, z)
+    return Rotation(normalize([w, x, y, z]))
 
 
 def reference_look_at(direction, roll=0.0):
-    """Scalar oracle: ``look_at`` as one ``Rotation`` per call, composed and
-    renormalized step by step (with its half-turn snap near -z)."""
+    """Scalar oracle: ``look_at(direction, roll).q``, one quaternion at a time,
+    composed and renormalized step by step (with its half-turn snap near -z)."""
     d = np.asarray(direction, dtype=float)
     d = d / math.sqrt(float(d @ d))
     w = 1.0 + d[2]
@@ -58,10 +94,11 @@ def reference_look_at(direction, roll=0.0):
     else:
         q = np.array([w, -d[1], d[0], 0.0])
         q = q / math.sqrt(float(q @ q))
-    base = Rotation.from_quat(q)
+    base = reference_normalize(q)
     if roll == 0.0:
         return base
-    return base @ Rotation(math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0))
+    spin = reference_normalize([math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0)])
+    return reference_normalize(reference_quat_mul(base, spin))
 
 
 def reference_unit_vector(theta, phi):
@@ -89,7 +126,7 @@ def reference_view_grid(n_dirs, n_inplane):
     rows = []
     for d in reference_fibonacci(n_dirs):
         for j in range(n_inplane):
-            rows.append(reference_look_at(d, 2.0 * math.pi * j / n_inplane).q)
+            rows.append(reference_look_at(d, 2.0 * math.pi * j / n_inplane))
     return np.array(rows)
 
 
@@ -99,61 +136,116 @@ def reference_trajectory(grid):
     for theta in grid.circles:
         for j in range(grid.steps):
             d = reference_unit_vector(theta, 2.0 * math.pi * j / grid.steps)
-            rows.append(reference_look_at(d).q)
+            rows.append(reference_look_at(d))
     return np.array(rows)
 
 
+# Components at three scales, with signed zeros, so rows with zero leading
+# components are drawn often.
+quat_components = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    *(st.floats(-scale, scale, allow_nan=False) for scale in (1e-3, 1.0, 1e3)),
+)
+raw_quats = st.lists(quat_components, min_size=4, max_size=4).filter(
+    lambda q: math.sqrt(float(np.dot(q, q))) >= 1e-12)
+
+
 # ---------------------------------------------------------------------------
-# Rotation type invariants
+# normalize and the Rotation row
+
+
+class TestNormalize:
+    @given(raw_quats)
+    @example([0.0, -0.0, -3.0, 4.0])
+    @example([-0.0, 0.0, 0.0, -1e-3])
+    @example([5e-324, -2.0, 0.0, 0.0])
+    def test_row_matches_scalar_oracle_bit_for_bit(self, q):
+        assert np.array_equal(normalize(q), reference_normalize(q))
+
+    @given(st.lists(raw_quats, min_size=1, max_size=12))
+    def test_batch_matches_rows_bit_for_bit(self, rows):
+        expected = np.array([reference_normalize(q) for q in rows])
+        assert np.array_equal(normalize(rows), expected)
+        if len(rows) % 2 == 0:
+            paired = normalize(np.reshape(rows, (2, -1, 4)))
+            assert np.array_equal(paired, expected.reshape(2, -1, 4))
+
+    @pytest.mark.parametrize("row", [
+        (1e-13, 0.0, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0), (math.nan, 1.0, 0.0, 0.0),
+    ])
+    def test_tiny_or_non_finite_norm_rejected(self, row):
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            normalize(row)
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            normalize([(1.0, 0.0, 0.0, 0.0), row])
+
+    def test_random_rotation_matches_oracle(self):
+        q = np.random.default_rng(5).normal(size=4)
+        assert np.array_equal(so3.random_rotation(np.random.default_rng(5)).q,
+                              reference_normalize(q))
 
 
 class TestRotation:
     def test_unit_norm_after_construction(self):
-        r = Rotation(2.0, 3.0, -1.0, 0.5)
+        r = Rotation(normalize([2.0, 3.0, -1.0, 0.5]))
         assert abs(np.linalg.norm(r.q) - 1.0) < 1e-9
-
-    @given(rotations(), rotations())
-    def test_unit_norm_after_composition(self, a, b):
-        assert abs(np.linalg.norm((a @ b).q) - 1.0) < 1e-9
 
     @given(rotations())
     def test_double_cover_collapsed(self, r):
-        flipped = Rotation.from_quat(-r.q)
+        flipped = Rotation(normalize(-r.q))
         assert np.allclose(flipped.q, r.q, atol=1e-15)
         assert geodesic_distance(flipped, r) <= 1e-12
 
     def test_canonical_sign(self):
-        r = Rotation(-0.5, 0.5, 0.5, 0.5)
-        assert r.q[0] > 0.0
+        assert normalize([-0.5, 0.5, 0.5, 0.5])[0] > 0.0
         # First nonzero component positive when w is exactly 0.
-        r = Rotation(0.0, -1.0, 0.0, 0.0)
-        assert r.q[1] > 0.0
+        assert normalize([0.0, -1.0, 0.0, 0.0])[1] > 0.0
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
-            Rotation(0.0, 0.0, 0.0, 0.0)
+            normalize([0.0, 0.0, 0.0, 0.0])
+
+    def test_keeps_row_bit_for_bit_and_read_only(self):
+        row = normalize([0.3, -0.7, 0.1, 0.64])
+        r = Rotation(row)
+        assert np.array_equal(r.q, row)
+        with pytest.raises(ValueError):
+            r.q[0] = 1.0
+        row[0] = 0.0
+        assert r.q[0] != 0.0
+
+    @given(rotations(), rotations())
+    def test_unit_norm_after_composition(self, a, b):
+        assert abs(np.linalg.norm(compose(a, b).q) - 1.0) < 1e-9
 
     @given(rotations())
     def test_inverse_composes_to_identity(self, r):
-        assert geodesic_distance(r @ r.inverse(), IDENTITY) < 1e-9
+        inverse = Rotation(normalize(quat_conj(r.q)))
+        assert geodesic_distance(compose(r, inverse), IDENTITY) < 1e-9
+
+    @given(rotations())
+    def test_inverse_matches_scipy(self, r):
+        assert np.allclose(scipy_rotation(quat_conj(r.q)).as_matrix(),
+                           scipy_rotation(r.q).inv().as_matrix(), atol=1e-9)
 
     @given(rotations())
     def test_view_direction_matches_scipy(self, r):
-        expected = scipy_rotation(r).apply([0.0, 0.0, 1.0])
+        expected = scipy_rotation(r.q).apply([0.0, 0.0, 1.0])
         assert np.allclose(r.view_direction(), expected, atol=1e-9)
+        assert np.array_equal(r.view_direction(), so3.view_directions(r.q))
 
     @given(rotations(), rotations())
     def test_composition_matches_scipy(self, a, b):
-        m = scipy_rotation(a @ b).as_matrix()
-        assert np.allclose(m, scipy_rotation(a).as_matrix() @ scipy_rotation(b).as_matrix(),
+        m = scipy_rotation(quat_mul(a.q, b.q)).as_matrix()
+        assert np.allclose(m, scipy_rotation(a.q).as_matrix() @ scipy_rotation(b.q).as_matrix(),
                            atol=1e-9)
 
     def test_json_roundtrip(self):
-        r = Rotation(0.3, -0.7, 0.1, 0.64)
-        assert Rotation.from_quat(r.to_json()) == r
+        r = Rotation(normalize([0.3, -0.7, 0.1, 0.64]))
+        assert Rotation(r.to_json()) == r
 
     def test_json_w_nonnegative(self):
-        assert Rotation(-0.3, 0.7, -0.1, 0.64).to_json()[0] >= 0.0
+        assert Rotation(normalize([-0.3, 0.7, -0.1, 0.64])).to_json()[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +307,9 @@ class TestBuildViewGrid:
         grid = build_view_grid(32, 4)
         dirs = fibonacci_directions(32)
         for i in range(len(grid)):
-            r = grid.rotation(i)
+            r = Rotation(grid.quats[i])
             d = dirs[i // 4]
-            assert np.allclose(scipy_rotation(r).apply([0.0, 0.0, 1.0]), d, atol=1e-9)
+            assert np.allclose(scipy_rotation(r.q).apply([0.0, 0.0, 1.0]), d, atol=1e-9)
             assert np.allclose(r.view_direction(), d, atol=1e-9)
 
     def test_zero_counts_rejected(self):
@@ -246,7 +338,7 @@ class TestBuildViewGrid:
     def test_rotation_rows_kept_bit_for_bit(self):
         grid = build_view_grid(64, 6)
         for i in range(len(grid)):
-            assert np.array_equal(grid.rotation(i).q, grid.quats[i])
+            assert np.array_equal(Rotation(grid.quats[i]).q, grid.quats[i])
 
     def test_quats_read_only(self):
         grid = build_view_grid(8, 2)
@@ -265,7 +357,7 @@ class TestBuildViewGrid:
         with pytest.raises(ValueError, match="canonical"):
             so3.as_unit_quats([(1.0, 0.0, 0.0, 0.0), row])
         flipped = so3.as_unit_quats([tuple(-c for c in row)])
-        assert so3.Rotation.wrap(flipped[0]) == so3.Rotation.from_quat(row)
+        assert Rotation(flipped[0]) == Rotation(normalize(row))
 
 
 class TestLookAt:
@@ -307,7 +399,7 @@ class TestLookAt:
         n = math.sqrt(float(d @ d))
         if n < 1e-3 or 1.0 + z / n < 1e-12:
             return  # the oracle snaps near -z, where look_at is exact
-        assert np.array_equal(look_at(d, roll).q, reference_look_at(d, roll).q)
+        assert np.array_equal(look_at(d, roll).q, reference_look_at(d, roll))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -320,7 +412,7 @@ class TestLookAt:
 
 class TestGeodesicDistance:
     def test_identity_case(self):
-        r = Rotation(0.5, 0.5, 0.5, 0.5)
+        r = Rotation(normalize([0.5, 0.5, 0.5, 0.5]))
         assert geodesic_distance(r, r) == 0.0
 
     def test_half_turn(self):
@@ -328,8 +420,8 @@ class TestGeodesicDistance:
         assert geodesic_distance(IDENTITY, half) == pytest.approx(math.pi)
 
     def test_double_cover_zero(self):
-        r = Rotation(0.3, -0.7, 0.1, 0.64)
-        assert geodesic_distance(r, Rotation.from_quat(-r.q)) == 0.0
+        r = Rotation(normalize([0.3, -0.7, 0.1, 0.64]))
+        assert geodesic_distance(r, Rotation(normalize(-r.q))) == 0.0
 
     @given(rotations(), rotations())
     def test_symmetric(self, a, b):
@@ -348,7 +440,7 @@ class TestGeodesicDistance:
     @given(rotations(), rotations(), rotations())
     @settings(max_examples=50)
     def test_composition_associativity(self, a, b, c):
-        assert geodesic_distance((a @ b) @ c, a @ (b @ c)) < 1e-9
+        assert geodesic_distance(compose(compose(a, b), c), compose(a, compose(b, c))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +454,13 @@ class TestVectorizedHelpers:
         q2 = rng.normal(size=(10, 4))
         q1 /= np.linalg.norm(q1, axis=1, keepdims=True)
         q2 /= np.linalg.norm(q2, axis=1, keepdims=True)
-        out = so3.quat_mul(q1, q2)
+        q1[::3, 0] = 0.0
+        q2[::4, 1] = -0.0
+        out = quat_mul(q1, q2)
         for i in range(10):
-            expected = (Rotation.from_quat(q1[i]) @ Rotation.from_quat(q2[i])).q
-            got = Rotation.from_quat(out[i]).q
-            assert np.allclose(got, expected, atol=1e-12)
+            assert np.array_equal(out[i], reference_quat_mul(q1[i], q2[i]))
+            assert np.array_equal(normalize(out[i]),
+                                  reference_normalize(reference_quat_mul(q1[i], q2[i])))
 
     def test_view_directions_and_rolls_match_scalar(self):
         grid = build_view_grid(24, 5)
@@ -374,8 +468,8 @@ class TestVectorizedHelpers:
         dirs = so3.view_directions(q)
         rolls = so3.roll_angles(q)
         for i in range(len(grid)):
-            r = grid.rotation(i)
-            assert np.allclose(dirs[i], r.view_direction(), atol=1e-12)
+            r = Rotation(q[i])
+            assert np.array_equal(dirs[i], r.view_direction())
             roll = float(so3.roll_angles(r.q))
             assert math.cos(rolls[i]) == pytest.approx(math.cos(roll), abs=1e-9)
             assert math.sin(rolls[i]) == pytest.approx(math.sin(roll), abs=1e-9)

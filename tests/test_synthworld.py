@@ -157,9 +157,9 @@ class TestRenderEmbedding:
     def test_continuity(self, pair):
         a, _ = pair
         r = so3.look_at([0.0, 1.0, 0.0])
-        step = so3.Rotation(math.cos(0.5e-5), math.sin(0.5e-5), 0.0, 0.0)  # 1e-5 rad about x
+        step = so3.normalize([math.cos(0.5e-5), math.sin(0.5e-5), 0.0, 0.0])  # 1e-5 rad about x
         z0 = render_embedding(a, r)
-        z1 = render_embedding(a, step @ r)
+        z1 = render_embedding(a, so3.Rotation(so3.normalize(so3.quat_mul(step, r.q))))
         norm = mean_embedding_norm(a)
         assert np.linalg.norm(z1 - z0) < 1e-3 * norm
 

@@ -10,9 +10,11 @@ metric is summarized by its median, quartiles and the pairs the change won
 (ties count for neither).  ``--claim-seed`` repeats the pairs of the first
 claimed workload on a second seed.  The file also records, per checkout, the
 wall time and child peak RSS of the four CLI commands at the default
-manifest and the set-up time and peak RSS of codebooks at three grid sizes,
-each in its own process, and the machine: ``nproc``, CPU model, Python,
-numpy and its BLAS configuration.
+manifest, whether each command's ``hashes.json`` and
+``manifest.resolved.json`` are byte-equal between the checkouts, the set-up
+time and peak RSS of codebooks at three grid sizes, each in its own process,
+and the machine: ``nproc``, CPU model, Python, numpy and its BLAS
+configuration.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 CLAIMED = ("episodes-default", "ops_per_s")
 CLI_COMMANDS = ("rank", "sweep", "simulate", "compare")
+# hashes.json holds the SHA-256 of every other output file.
+IDENTITY_FILES = ("hashes.json", "manifest.resolved.json")
 CODEBOOK_GRIDS = ((4096, 36), (16384, 36), (16384, 72))
 
 # Set-up time and peak RSS of one codebook, in a fresh process.
@@ -108,14 +112,23 @@ def pairs(trees, workload, n, seconds, seed) -> dict:
     return runs
 
 
-def cli_figures(tree: Path) -> dict:
+def cli_figures(tree: Path, outputs: Path) -> dict:
+    """Wall time and child peak RSS of each CLI command, writing to
+    ``outputs / command``."""
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for cmd in CLI_COMMANDS:
-            _, wall, rss = run_child([sys.executable, "-m", "viewrank.cli", cmd,
-                                      "--out", str(Path(tmp) / cmd)], tree, src_env(tree))
-            out[cmd] = {"wall_s": wall, "child_peak_rss_mb": rss}
+    for cmd in CLI_COMMANDS:
+        _, wall, rss = run_child([sys.executable, "-m", "viewrank.cli", cmd,
+                                  "--out", str(outputs / cmd)], tree, src_env(tree))
+        out[cmd] = {"wall_s": wall, "child_peak_rss_mb": rss}
     return out
+
+
+def output_identity(outputs: dict) -> dict:
+    """Per command and file of ``IDENTITY_FILES``, whether both checkouts
+    wrote the same bytes."""
+    return {cmd: {name: (outputs["parent"] / cmd / name).read_bytes()
+                  == (outputs["change"] / cmd / name).read_bytes() for name in IDENTITY_FILES}
+            for cmd in CLI_COMMANDS}
 
 
 def codebook_figures(tree: Path) -> dict:
@@ -172,7 +185,11 @@ def main(argv=None) -> int:
     runs = pairs(trees, CLAIMED[0], args.pairs, args.seconds, args.claim_seed)
     record["claim_seed_run"] = summarize(runs["parent"], runs["change"], [
         m for m in spec["end_to_end"] if m["name"] == CLAIMED[1]])
-    record["cli_default_manifest"] = {side: cli_figures(t) for side, t in trees.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = {side: Path(tmp) / side for side in trees}
+        record["cli_default_manifest"] = {side: cli_figures(t, outputs[side])
+                                          for side, t in trees.items()}
+        record["cli_output_identical"] = output_identity(outputs)
     record["codebook_scaling"] = {side: codebook_figures(t) for side, t in trees.items()}
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
