@@ -188,7 +188,7 @@ def most_similar_view(
         raise ValueError("descent_steps must be >= 0")
     z = np.asarray(z, dtype=float)
     i, seed_score = target_cb.best(z)  # refuses a zero-norm z
-    seed_rotation = Rotation(target_cb.quats[i])
+    seed_rotation = target_cb.grid.entry(i)
     if descent_steps == 0:
         return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
@@ -267,12 +267,12 @@ def rank_object(
 ) -> AmbiguityTable:
     """Ambiguity table of ``obj`` against the other objects of its group.
 
-    ``others`` and ``codebooks`` are parallel lists.  For every coarse-grid
-    orientation the raw value is the max over other objects of
-    ``most_similar_view``; the table is sorted by similarity descending and
-    carries the normalized ambiguity.  Views are ranked one after another;
-    ``threads`` is accepted for compatibility and changes neither speed nor
-    output.
+    ``others`` and ``codebooks`` are parallel lists, and ``coarse_grid`` has
+    one in-plane roll.  For every coarse-grid orientation the raw value is
+    the max over other objects of ``most_similar_view``; the table is sorted
+    by similarity descending and carries the normalized ambiguity.  Views are
+    ranked one after another; ``threads`` is accepted for compatibility and
+    changes neither speed nor output.
     """
     if len(others) < 1:
         raise ValueError("need at least one other object in the group")
@@ -280,8 +280,10 @@ def rank_object(
         raise ValueError("others and codebooks must be parallel lists")
     if len(coarse_grid) == 0:
         raise ValueError("coarse grid is empty")
+    if coarse_grid.n_inplane != 1:
+        raise ValueError("coarse grid must have one in-plane roll")
 
-    z_all = render_embeddings(obj, coarse_grid.quats)
+    z_all = render_embeddings(obj, coarse_grid.base)
     step0 = 2.0 * coarse_grid.direction_spacing()
 
     def rank_one(idx: int):
@@ -292,7 +294,7 @@ def rank_object(
             if best is None or s > best[0]:
                 best = (s, r_b, other.class_id)
         s, r_b, cls = best
-        return MatchedPair(s, Rotation(coarse_grid.quats[idx]), r_b, cls)
+        return MatchedPair(s, Rotation(coarse_grid.base[idx]), r_b, cls)
 
     matched = [rank_one(i) for i in range(len(coarse_grid))]
 
@@ -305,7 +307,7 @@ def rank_object(
         pairs=pairs,
         ambiguity=amb,
         grid_meta={
-            "coarse_dirs": coarse_grid.n_dirs,
+            "coarse_dirs": len(coarse_grid.base),
             "coarse_inplane": coarse_grid.n_inplane,
             "descent_steps": int(descent_steps),
         },

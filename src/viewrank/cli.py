@@ -8,9 +8,11 @@ Subcommands::
     viewrank compare   metric correlations + noise-robustness CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The whole
-manifest is checked before any work, and a command writes its outputs into a
-temporary sibling of ``--out`` that is moved into place only on success, so a
-failed command changes no file in ``--out`` and creates no ``--out``.
+manifest is checked before any work, and a noise level whose sigma is not
+finite is refused as soon as the world is built.  A command writes its
+outputs into a temporary sibling of ``--out`` that is moved into place only
+on success, so a failed command changes no file in ``--out`` and creates no
+``--out``.
 All randomness derives from the manifest seed; reruns are byte-identical.
 ``--threads`` is accepted (and must be >= 1) but changes neither speed nor
 output.
@@ -23,6 +25,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -69,6 +72,14 @@ def _build_world(m: dict):
     return a, b
 
 
+def _noise_sigma(obj, factor: float, field: str) -> float:
+    """``classify.default_noise_sigma``, refused where it is not finite."""
+    sigma = classify.default_noise_sigma(obj, factor)
+    if not math.isfinite(sigma):
+        raise manifest.ManifestError(f"{field}: {factor!r} makes the noise sigma {sigma}")
+    return sigma
+
+
 def _build_codebooks(m: dict, objects):
     grid = so3.build_view_grid(m["codebook"]["n_dirs"], m["codebook"]["n_inplane"])
     return [build_codebook(obj, grid) for obj in objects]
@@ -112,9 +123,9 @@ def _cmd_rank(m: dict, out: Path) -> None:
 
 def _cmd_sweep(m: dict, out: Path) -> None:
     a, b = _build_world(m)
+    sigma = _noise_sigma(a, m["sweep"]["noise_factor"], "sweep.noise_factor")
     codebooks = _build_codebooks(m, [a, b])
     tables = _build_tables(m, [a, b], codebooks)
-    sigma = classify.default_noise_sigma(a, m["sweep"]["noise_factor"])
     result = classify.threshold_sweep(
         [a, b],
         [tables["A"], tables["B"]],
@@ -141,9 +152,9 @@ def _make_reachable(m: dict) -> policy.ReachableSet:
 
 def _cmd_simulate(m: dict, out: Path) -> None:
     a, b = _build_world(m)
+    sigma = _noise_sigma(a, m["policy"]["noise_factor"], "policy.noise_factor")
     codebooks = _build_codebooks(m, [a, b])
     tables = _build_tables(m, [a, b], codebooks)
-    sigma = classify.default_noise_sigma(a, m["policy"]["noise_factor"])
     splits = [
         ambiguity.split_by_threshold(tables[obj.class_id], m["policy"]["train_threshold"])
         for obj in (a, b)
@@ -173,6 +184,7 @@ def _cmd_simulate(m: dict, out: Path) -> None:
 
 def _cmd_compare(m: dict, out: Path) -> None:
     a, b = _build_world(m)
+    sigmas = [_noise_sigma(a, s, "compare.sigmas") for s in m["compare"]["sigmas"]]
     coarse = so3.build_view_grid(m["ranking"]["coarse_dirs"], 1)
     table = ambiguity.rank_object(
         a, [b], _build_codebooks(m, [b]), coarse, m["ranking"]["descent_steps"]
@@ -185,7 +197,6 @@ def _cmd_compare(m: dict, out: Path) -> None:
         written.append(fname)
     report.save_correlations_csv(out / "metric_correlations.csv")
     written.append("metric_correlations.csv")
-    sigmas = [classify.default_noise_sigma(a, s) for s in m["compare"]["sigmas"]]
     robustness = baselines.noise_robustness_sweep(table, a, {"B": b}, sigmas, seed=m["seed"])
     with open(out / "noise_robustness.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -233,6 +244,9 @@ def main(argv=None) -> int:
                 os.replace(path, out / path.name)
         finally:
             shutil.rmtree(staging, ignore_errors=True)
+    except manifest.ManifestError as e:
+        print(f"viewrank: configuration error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         log.exception("command failed") if args.verbose else None
         print(f"viewrank: error: {e}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Per-object embedding codebooks and cosine-similarity pose queries.
 
-A codebook holds a direction-major view grid's rotations and one unit roll-0
-embedding per direction.  The renderer is roll-equivariant, so the entry at
+A codebook holds a direction-major view grid and one unit roll-0 embedding
+per direction.  The renderer is roll-equivariant, so the entry at
 direction ``j`` and roll ``r`` has cosine ``C_j cos r - S_j sin r`` with a
 unit query, for ``(C_j, S_j)`` from ``roll_components``.  Every query goes
 through ``Codebook.best``, which scores only the directions whose amplitude
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation, ViewGrid, as_unit_quats
+from .so3 import Rotation, ViewGrid
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -96,33 +96,30 @@ class PoseHypothesis:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Immutable grid rotations and unit roll-0 embeddings of one object.
+    """Immutable view grid and unit roll-0 embeddings of one object.
 
-    ``quats`` is the direction-major grid, row ``j * n + k`` being direction
-    ``j`` at roll ``2 pi k / n`` for ``n = len(quats) // len(embeddings)``;
-    ``embeddings`` holds ``n_dirs * d * 8`` bytes, one row per direction.
+    Embedding row ``j`` is the grid's direction ``j`` at roll 0; ``embeddings``
+    holds ``n_dirs * d * 8`` bytes, and the rolled entries are never stored.
     """
 
-    quats: np.ndarray       # (n_dirs * n, 4), unit rows
+    grid: ViewGrid
     embeddings: np.ndarray  # (n_dirs, d), unit roll-0 rows
     class_id: str
 
     def __post_init__(self):
-        quats = as_unit_quats(self.quats)
         emb = np.asarray(self.embeddings, dtype=float)
-        if len(emb) == 0 or len(quats) % len(emb) != 0:
-            raise ValueError("entry count does not divide rotation count")
+        if len(emb) == 0 or len(emb) != len(self.grid.base):
+            raise ValueError("embedding rows do not match the grid's directions")
         emb.flags.writeable = False
-        object.__setattr__(self, "quats", quats)
         object.__setattr__(self, "embeddings", emb)
 
     def __len__(self) -> int:
-        return len(self.quats)
+        return len(self.grid)
 
     def best(self, z: np.ndarray) -> tuple:
         """``(index, score)`` of the grid entry most similar to ``z`` by
         cosine; ties go to the lowest index, and the score is not clipped."""
-        n = len(self.quats) // len(self.embeddings)
+        n = self.grid.n_inplane
         rolls = 2.0 * math.pi * np.arange(n) / n
         cos, sin = np.cos(rolls), np.sin(rolls)
         c, s = roll_components(self.embeddings, unit(z))
@@ -146,8 +143,8 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     direction."""
     if len(grid) == 0:
         raise ValueError("view grid is empty")
-    z = unit(render_embeddings(obj, grid.quats[::grid.n_inplane]))
-    return Codebook(quats=grid.quats, embeddings=z, class_id=obj.class_id)
+    z = unit(render_embeddings(obj, grid.base))
+    return Codebook(grid=grid, embeddings=z, class_id=obj.class_id)
 
 
 def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
@@ -157,7 +154,7 @@ def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
 
 
 def _hypothesis(cb: Codebook, i: int, score: float) -> PoseHypothesis:
-    return PoseHypothesis(cb.class_id, Rotation(cb.quats[i]), float(np.clip(score, -1.0, 1.0)))
+    return PoseHypothesis(cb.class_id, cb.grid.entry(i), float(np.clip(score, -1.0, 1.0)))
 
 
 def hypotheses_for_group(codebooks, z: np.ndarray) -> list:

@@ -74,7 +74,7 @@ def build_trajectory_reachable(grid: TrajectoryGrid) -> ReachableSet:
 
 def build_sphere_reachable(n_dirs: int) -> ReachableSet:
     """Full-sphere reachable set from a Fibonacci direction grid (roll 0)."""
-    return ReachableSet(so3.build_view_grid(n_dirs, 1).quats)
+    return ReachableSet(so3.build_view_grid(n_dirs, 1).base)
 
 
 def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:

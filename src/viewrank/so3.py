@@ -90,22 +90,34 @@ def as_unit_quats(quats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ViewGrid:
-    """Ordered rotations as an ``(N, 4)`` quaternion array: one block of
-    ``n_inplane`` rolls per sphere direction."""
+    """Direction-major view grid: ``base``, the read-only ``(n_dirs, 4)``
+    roll-0 rows, and ``n_inplane`` uniform rolls.
 
-    quats: np.ndarray
-    n_dirs: int
+    Entry ``j * n_inplane + k`` is direction ``j`` at roll
+    ``2 pi k / n_inplane``, made on demand by ``entry``; a grid with one roll
+    is its own base.
+    """
+
+    base: np.ndarray
     n_inplane: int
 
     def __post_init__(self):
-        object.__setattr__(self, "quats", as_unit_quats(self.quats))
+        if self.n_inplane < 1:
+            raise ValueError(f"n_inplane must be >= 1, got {self.n_inplane}")
+        object.__setattr__(self, "base", as_unit_quats(self.base))
 
     def __len__(self) -> int:
-        return len(self.quats)
+        return len(self.base) * self.n_inplane
+
+    def entry(self, i: int) -> Rotation:
+        """Entry ``i``: base row ``i // n_inplane`` rolled by
+        ``2 pi (i % n_inplane) / n_inplane``."""
+        j, k = divmod(int(i), self.n_inplane)
+        return Rotation(rolled(self.base[j], 2.0 * math.pi * k / self.n_inplane))
 
     def direction_spacing(self) -> float:
         """Expected angular spacing of the direction lattice, sqrt(4*pi/n)."""
-        return math.sqrt(4.0 * math.pi / self.n_dirs)
+        return math.sqrt(4.0 * math.pi / len(self.base))
 
 
 def fibonacci_directions(n: int) -> np.ndarray:
@@ -137,16 +149,15 @@ def look_at(direction, roll: float = 0.0) -> Rotation:
     about the view axis *before* the alignment, so the viewed direction is
     unchanged while the image rotates in-plane.
     """
-    return Rotation(look_at_quats([direction], (roll,))[0])
+    return Rotation(rolled(look_at_quats([direction])[0], roll))
 
 
-def look_at_quats(directions, rolls=(0.0,)) -> np.ndarray:
-    """``look_at(d, roll).q`` for every direction row ``d`` and every roll.
+def look_at_quats(directions) -> np.ndarray:
+    """``look_at(d).q`` (roll 0) for every direction row ``d``, as an
+    ``(M, 4)`` array.
 
-    Returns an ``(M * K, 4)`` array in direction-major order for ``M``
-    directions and ``K`` rolls.  The direction is normalized, the base
-    alignment is normalized twice (as alignment and as a rotation), and the
-    roll quaternion and the product of the two are normalized once each.
+    The direction is normalized and the base alignment is normalized twice,
+    as alignment and as a rotation.
     """
     d = np.asarray(directions, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
@@ -154,23 +165,26 @@ def look_at_quats(directions, rolls=(0.0,)) -> np.ndarray:
     n = np.sqrt(np.vecdot(d, d))
     if not (n.min(initial=math.inf) >= 1e-12 and n.max(initial=0.0) < math.inf):
         raise ValueError("direction has zero or non-finite norm")
-    base = normalize(normalize(_look_at_base(d / n[:, None])))
-    out = np.empty((len(d), len(rolls), 4))
-    for j, roll in enumerate(rolls):
-        if roll == 0.0:
-            out[:, j] = base
-        else:
-            spin = normalize([math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0)])
-            out[:, j] = normalize(quat_mul(base, spin))
-    return out.reshape(-1, 4)
+    return normalize(normalize(_look_at_base(d / n[:, None])))
+
+
+def rolled(q, roll: float) -> np.ndarray:
+    """Quaternion rows ``q`` rolled by ``roll`` about the view axis.
+
+    At ``roll == 0`` this is ``q`` itself; otherwise it is ``normalize(q *
+    spin)``, with the roll quaternion ``spin`` normalized once as well.
+    """
+    if roll == 0.0:
+        return q
+    spin = normalize([math.cos(roll / 2.0), 0.0, 0.0, math.sin(roll / 2.0)])
+    return normalize(quat_mul(q, spin))
 
 
 def build_view_grid(n_dirs: int, n_inplane: int) -> ViewGrid:
     """Fibonacci directions x uniform in-plane rolls, direction-major order."""
     if n_dirs < 1 or n_inplane < 1:
         raise ValueError(f"counts must be >= 1, got ({n_dirs}, {n_inplane})")
-    rolls = [2.0 * math.pi * j / n_inplane for j in range(n_inplane)]
-    return ViewGrid(look_at_quats(fibonacci_directions(n_dirs), rolls), n_dirs, n_inplane)
+    return ViewGrid(look_at_quats(fibonacci_directions(n_dirs)), n_inplane)
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:

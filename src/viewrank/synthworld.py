@@ -199,5 +199,5 @@ def mean_embedding_norm(obj: SynthObject, n_sample_dirs: int = 256) -> float:
     from .so3 import build_view_grid
 
     grid = build_view_grid(n_sample_dirs, 1)
-    z = render_embeddings(obj, grid.quats)
+    z = render_embeddings(obj, grid.base)
     return float(np.mean(np.linalg.norm(z, axis=1)))

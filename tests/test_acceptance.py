@@ -152,9 +152,9 @@ def test_criterion_03_descent_monotone_and_near_oracle(world, default_codebooks)
         and by_steps[8][r] <= by_steps[32][r] + 1e-12
         for r in rotations
     )
-    queries = synthworld.render_embeddings(a, coarse.quats)
+    queries = synthworld.render_embeddings(a, coarse.base)
     oracle = _fine_oracle_similarities(b, queries, 16 * DEFAULTS["ranking"]["coarse_dirs"])
-    descent = np.array([by_steps[32][so3.Rotation(coarse.quats[i])] for i in range(len(coarse))])
+    descent = np.array([by_steps[32][coarse.entry(i)] for i in range(len(coarse))])
     exceed_frac = float(np.mean(oracle - descent > 1e-3))
     _report(
         3, "descent monotonicity and oracle gap",
@@ -268,7 +268,9 @@ def test_criterion_07_pose_estimation_sanity(world, default_codebooks):
     # distance among the queries, found by brute force) in >= 95% of trials.
     a, _ = world
     cb = default_codebooks[0]
-    grid_q = cb.quats
+    n = cb.grid.n_inplane
+    grid_q = np.stack([so3.rolled(cb.grid.base, 2.0 * math.pi * k / n) for k in range(n)],
+                      axis=1).reshape(-1, 4)
     rng = np.random.default_rng(DEFAULTS["seed"])
     truths = [so3.random_rotation(rng) for _ in range(200)]
     nn_dist = np.empty(len(truths))

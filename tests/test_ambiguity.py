@@ -55,7 +55,7 @@ def reference_most_similar_view(z, target, target_cb, descent_steps, initial_ste
     z = np.asarray(z, dtype=float)
     z_unit = z / float(np.linalg.norm(z))
     i, seed_score = target_cb.best(z)
-    seed_rotation = so3.Rotation(target_cb.quats[i])
+    seed_rotation = target_cb.grid.entry(i)
     if descent_steps == 0:
         return seed_rotation, float(np.clip(seed_score, -1.0, 1.0))
 
@@ -224,7 +224,7 @@ class TestMostSimilarView:
         cb = codebooks[1]
         r0, s0 = most_similar_view(z, b, cb, descent_steps=0, initial_step=initial_step)
         i, score = cb.best(z)
-        assert r0 == so3.Rotation(cb.quats[i])
+        assert r0 == cb.grid.entry(i)
         assert s0 == pytest.approx(score, abs=1e-12)
 
     def test_descent_beats_seed(self, pair, codebooks, visible_rotation, initial_step):
@@ -372,7 +372,7 @@ class TestRankObject:
 
     def test_grid_meta(self, tables, coarse_grid):
         assert tables["A"].grid_meta == {
-            "coarse_dirs": coarse_grid.n_dirs,
+            "coarse_dirs": len(coarse_grid.base),
             "coarse_inplane": coarse_grid.n_inplane,
             "descent_steps": 16,
         }
@@ -414,6 +414,8 @@ class TestRankObject:
             rank_object(a, [], [], coarse_grid)
         with pytest.raises(ValueError):
             rank_object(a, [b], [], coarse_grid)
+        with pytest.raises(ValueError, match="one in-plane roll"):
+            rank_object(a, [b], [codebooks[1]], so3.build_view_grid(8, 2))
 
     def test_twin_symmetry_of_raw_values(self, tables):
         # The twins see near-mirror-image ambiguity structure; on a finite

@@ -222,10 +222,19 @@ class TestErrors:
         assert run(bad, out, "rank") == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("section, command", [("sweep", "sweep"), ("policy", "simulate")])
-    def test_negative_noise_factor_exits_2(self, tmp_path, section, command):
+    # A noise factor of 1e308 passes the manifest, but its noise sigma is inf.
+    @pytest.mark.parametrize("section, field, value, command", [
+        pytest.param("sweep", "noise_factor", -0.5, "sweep", id="sweep-sweep"),
+        pytest.param("policy", "noise_factor", -0.5, "simulate", id="policy-simulate"),
+        pytest.param("sweep", "noise_factor", 1e308, "sweep", id="sweep-sweep-1e308"),
+        pytest.param("policy", "noise_factor", 1e308, "simulate", id="policy-simulate-1e308"),
+        pytest.param("compare", "sigmas", [0.0, 1e308], "compare", id="compare-compare-1e308"),
+    ])
+    def test_negative_noise_factor_exits_2(self, tmp_path, section, field, value, command):
+        m = json.loads(json.dumps(SMALL_MANIFEST))
+        m[section][field] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({section: {"noise_factor": -0.5}}))
+        bad.write_text(json.dumps(m))
         out = tmp_path / "out"
         assert run(bad, out, command) == 2
         assert not out.exists()

@@ -2,6 +2,10 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,21 @@ vectors = st.lists(
 ).filter(lambda v: sum(x * x for x in v) > 1e-6)
 
 EPS = np.finfo(float).eps
+
+# Peak RSS growth, in KiB, from a 4096 x 36 grid and codebook to a 65536 x 72
+# one, in a fresh process.
+MEMORY_PROBE = """
+import resource
+from viewrank import so3, synthworld
+from viewrank.codebook import build_codebook
+a, _ = synthworld.make_ambiguous_pair(0)
+peaks = []
+for n_dirs, n_inplane in ((4096, 36), (65536, 72)):
+    cb = build_codebook(a, so3.build_view_grid(n_dirs, n_inplane))
+    del cb
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peaks[1] - peaks[0])
+"""
 MIN_NORM = math.sqrt(np.finfo(float).tiny)
 
 # Ordinary magnitudes mixed with every finite double, so that norms underflow,
@@ -174,9 +193,14 @@ class TestRollAlignedCossim:
 even_dims = st.integers(1, 6).map(lambda k: 2 * k)
 
 
+def grid_entries(grid):
+    """Every entry of a view grid, made one at a time by ``ViewGrid.entry``."""
+    return np.array([grid.entry(i).q for i in range(len(grid))])
+
+
 def expand(obj, cb):
     """The rendered full grid of a codebook: one unit row per rotation."""
-    return unit(synthworld.render_embeddings(obj, cb.quats))
+    return unit(synthworld.render_embeddings(obj, grid_entries(cb.grid)))
 
 
 def reference_best(cb, z):
@@ -196,7 +220,7 @@ def reference_hypotheses(codebooks, z):
     for ci, cb in enumerate(codebooks):
         i, s = reference_best(cb, z)
         hyps.append(((-s, ci), PoseHypothesis(
-            cb.class_id, so3.Rotation(cb.quats[i]), float(np.clip(s, -1.0, 1.0)))))
+            cb.class_id, cb.grid.entry(i), float(np.clip(s, -1.0, 1.0)))))
     hyps.sort(key=lambda t: t[0])
     return [h for _, h in hyps]
 
@@ -268,15 +292,16 @@ class TestBuildCodebook:
     def test_metadata(self, codebooks, codebook_grid):
         cb_a, cb_b = codebooks
         assert cb_a.class_id == "A" and cb_b.class_id == "B"
-        assert cb_a.quats is cb_b.quats is codebook_grid.quats
+        assert cb_a.grid is cb_b.grid is codebook_grid
 
     def test_entries_match_renderer(self, pair, codebooks, codebook_grid):
         # Row j is the roll-0 render of direction j, grid rotation j * n.
         a, _ = pair
         n = codebook_grid.n_inplane
-        assert codebooks[0].embeddings.shape == (codebook_grid.n_dirs, a.descriptor_dim)
-        for j in (0, 137, codebook_grid.n_dirs - 1):
-            z = synthworld.render_embedding(a, so3.Rotation(codebook_grid.quats[j * n]))
+        n_dirs = len(codebook_grid.base)
+        assert codebooks[0].embeddings.shape == (n_dirs, a.descriptor_dim)
+        for j in (0, 137, n_dirs - 1):
+            z = synthworld.render_embedding(a, codebook_grid.entry(j * n))
             assert np.allclose(codebooks[0].embeddings[j], z / np.linalg.norm(z), atol=1e-12)
 
     def test_memory_is_one_row_per_direction(self, pair, monkeypatch):
@@ -291,8 +316,19 @@ class TestBuildCodebook:
         monkeypatch.setattr(codebook, "render_embeddings", counting)
         cb = build_codebook(a, so3.build_view_grid(16384, 72))
         assert sum(rendered) == 16384
+        assert len(cb.grid.base) == 16384
         assert len(cb) == 16384 * 72
         assert cb.embeddings.nbytes == 16384 * a.descriptor_dim * 8
+
+    def test_peak_memory_bounded_as_grid_grows(self):
+        # 72 rolls and 16 times the directions stay within 64 MB: a full
+        # 65536 x 72 quaternion array alone is 144 MB.
+        src = str(Path(codebook.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", MEMORY_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert int(out) < 64 * 1024
 
     def test_embeddings_write_protected(self, codebooks):
         with pytest.raises(ValueError):
@@ -300,7 +336,7 @@ class TestBuildCodebook:
 
     def test_empty_grid_rejected(self, pair):
         a, _ = pair
-        empty = so3.ViewGrid(quats=np.empty((0, 4)), n_dirs=0, n_inplane=0)
+        empty = so3.ViewGrid(base=np.empty((0, 4)), n_inplane=1)
         with pytest.raises(ValueError):
             build_codebook(a, empty)
 
@@ -308,12 +344,15 @@ class TestBuildCodebook:
         cb = codebooks[0]
         with pytest.raises(ValueError):
             Codebook(
-                quats=cb.quats[:-1],
+                grid=so3.ViewGrid(cb.grid.base[:-1], cb.grid.n_inplane),
                 embeddings=cb.embeddings,
                 class_id="A",
             )
         with pytest.raises(ValueError):
-            Codebook(quats=cb.quats, embeddings=cb.embeddings[:0], class_id="A")
+            Codebook(grid=cb.grid, embeddings=cb.embeddings[:0], class_id="A")
+        # 768 x 4 has the 384 x 8 grid's entry count but twice its rows.
+        with pytest.raises(ValueError, match="rows"):
+            Codebook(grid=so3.build_view_grid(768, 4), embeddings=cb.embeddings, class_id="A")
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,7 +376,7 @@ class TestScoresAndEstimatePose:
 
     def test_grid_view_recovered_exactly(self, pair, codebooks, codebook_grid):
         a, _ = pair
-        r = so3.Rotation(codebook_grid.quats[411])
+        r = codebook_grid.entry(411)
         hyp = estimate_pose(codebooks[0], synthworld.render_embedding(a, r))
         assert hyp.rotation == r
         assert hyp.score == pytest.approx(1.0, abs=1e-9)
@@ -352,7 +391,7 @@ class TestScoresAndEstimatePose:
             z = synthworld.render_embedding(a, so3.random_rotation(rng))
             hyp = estimate_pose(cb, z)
             best = max(range(len(cb)), key=lambda i: (cossim(rows[i], z), -i))
-            assert hyp.rotation == so3.Rotation(cb.quats[best])
+            assert hyp.rotation == cb.grid.entry(best)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -371,7 +410,7 @@ class TestScoresAndEstimatePose:
             # Every direction twice, so the best score is always tied with a
             # later direction, and the first copy must win.
             order = rng.permutation(np.repeat(np.arange(n_dirs), 2))
-            cb = Codebook(so3.build_view_grid(2 * n_dirs, n_inplane).quats,
+            cb = Codebook(so3.build_view_grid(2 * n_dirs, n_inplane),
                           cb.embeddings[order], "A")
             rows = rows.reshape(n_dirs, n_inplane, -1)[order].reshape(len(cb), -1)
         z = synthworld.render_embedding(a, so3.random_rotation(rng),
@@ -399,10 +438,10 @@ class TestScoresAndEstimatePose:
         assert h1.score == pytest.approx(h2.score, abs=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
-        grid = so3.build_view_grid(1, 3)
+        grid = so3.build_view_grid(3, 1)
         emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        cb = Codebook(quats=grid.quats, embeddings=emb, class_id="A")
-        assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == so3.Rotation(grid.quats[0])
+        cb = Codebook(grid=grid, embeddings=emb, class_id="A")
+        assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == grid.entry(0)
 
 
 class TestGroupQueries:
@@ -434,7 +473,7 @@ class TestGroupQueries:
         for cls in ("A", "B"):
             n = data.draw(st.integers(1, 8))
             rows = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
-            codebooks.append(Codebook(quats=so3.build_view_grid(n, 1).quats,
+            codebooks.append(Codebook(grid=so3.build_view_grid(n, 1),
                                       embeddings=pool[rows], class_id=cls))
         z = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
         if not z.any():
@@ -447,12 +486,12 @@ class TestGroupQueries:
     def test_equal_scores_keep_codebook_order(self):
         grid = so3.build_view_grid(2, 1)
         emb = np.array([[0.0, 1.0], [1.0, 0.0]])
-        codebooks = [Codebook(quats=grid.quats, embeddings=emb[::step], class_id=cls)
+        codebooks = [Codebook(grid=grid, embeddings=emb[::step], class_id=cls)
                      for cls, step in (("B", 1), ("A", -1))]
         hyps = hypotheses_for_group(codebooks, np.array([3.0, 0.0]))
         assert [h.class_id for h in hyps] == ["B", "A"]
         assert [h.score for h in hyps] == [1.0, 1.0]
-        assert [h.rotation for h in hyps] == [so3.Rotation(q) for q in grid.quats[[1, 0]]]
+        assert [h.rotation for h in hyps] == [grid.entry(1), grid.entry(0)]
         assert hypotheses_for_group(codebooks[::-1], np.array([3.0, 0.0]))[0].class_id == "A"
 
     def test_rotations_are_codebook_rows(self, pair, codebooks):
@@ -460,7 +499,7 @@ class TestGroupQueries:
         z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
         for h in hypotheses_for_group(codebooks, z):
             cb = codebooks[0] if h.class_id == "A" else codebooks[1]
-            assert np.any(np.all(cb.quats == h.rotation.q, axis=1))
+            assert np.any(np.all(grid_entries(cb.grid) == h.rotation.q, axis=1))
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
@@ -470,15 +509,15 @@ class TestGroupQueries:
 class TestCodebookJson:
     def test_non_canonical_row_rejected(self, codebooks):
         cb = codebooks[0]
-        quats = cb.quats.copy()
+        quats = cb.grid.base.copy()
         quats[3] = -quats[3]
         with pytest.raises(ValueError, match="canonical"):
-            Codebook(quats, cb.embeddings, cb.class_id)
+            Codebook(so3.ViewGrid(quats, cb.grid.n_inplane), cb.embeddings, cb.class_id)
 
     def test_query_does_not_mutate(self, codebooks):
         cb = codebooks[0]
-        quats, embeddings = cb.quats.copy(), cb.embeddings.copy()
+        quats, embeddings = cb.grid.base.copy(), cb.embeddings.copy()
         estimate_pose(cb, np.ones(cb.embeddings.shape[1]))
         hypotheses_for_group([cb], np.ones(cb.embeddings.shape[1]))
-        assert np.array_equal(cb.quats, quats)
+        assert np.array_equal(cb.grid.base, quats)
         assert np.array_equal(cb.embeddings, embeddings)

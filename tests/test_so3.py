@@ -130,6 +130,11 @@ def reference_view_grid(n_dirs, n_inplane):
     return np.array(rows)
 
 
+def grid_entries(grid):
+    """Every entry of a view grid, made one at a time by ``ViewGrid.entry``."""
+    return np.array([grid.entry(i).q for i in range(len(grid))]).reshape(-1, 4)
+
+
 def reference_trajectory(grid):
     """Scalar oracle for ``policy.build_trajectory_reachable``."""
     rows = []
@@ -297,7 +302,7 @@ class TestBuildViewGrid:
     def test_one_direction_four_rolls(self):
         grid = build_view_grid(1, 4)
         assert len(grid) == 4
-        rolls = np.sort(so3.roll_angles(grid.quats) % (2.0 * math.pi))
+        rolls = np.sort(so3.roll_angles(grid_entries(grid)) % (2.0 * math.pi))
         assert np.allclose(rolls, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], atol=1e-9)
 
     def test_product_count(self):
@@ -307,7 +312,7 @@ class TestBuildViewGrid:
         grid = build_view_grid(32, 4)
         dirs = fibonacci_directions(32)
         for i in range(len(grid)):
-            r = Rotation(grid.quats[i])
+            r = grid.entry(i)
             d = dirs[i // 4]
             assert np.allclose(scipy_rotation(r.q).apply([0.0, 0.0, 1.0]), d, atol=1e-9)
             assert np.allclose(r.view_direction(), d, atol=1e-9)
@@ -317,6 +322,8 @@ class TestBuildViewGrid:
             build_view_grid(0, 4)
         with pytest.raises(ValueError):
             build_view_grid(4, 0)
+        with pytest.raises(ValueError, match="n_inplane"):
+            so3.ViewGrid(base=build_view_grid(4, 1).base, n_inplane=0)
 
     def test_direction_spacing(self):
         grid = build_view_grid(100, 1)
@@ -327,7 +334,7 @@ class TestBuildViewGrid:
     ])
     def test_matches_scalar_oracle_bit_for_bit(self, n_dirs, n_inplane):
         grid = build_view_grid(n_dirs, n_inplane)
-        assert np.array_equal(grid.quats, reference_view_grid(n_dirs, n_inplane))
+        assert np.array_equal(grid_entries(grid), reference_view_grid(n_dirs, n_inplane))
 
     @pytest.mark.parametrize("circles,steps", [(1, 1), (3, 8), (4, 16), (3, 128)])
     def test_trajectory_matches_scalar_oracle_bit_for_bit(self, circles, steps):
@@ -336,20 +343,20 @@ class TestBuildViewGrid:
         assert np.array_equal(reachable.quats, reference_trajectory(grid))
 
     def test_rotation_rows_kept_bit_for_bit(self):
-        grid = build_view_grid(64, 6)
-        for i in range(len(grid)):
-            assert np.array_equal(Rotation(grid.quats[i]).q, grid.quats[i])
+        rows = grid_entries(build_view_grid(64, 6))
+        for q in rows:
+            assert np.array_equal(Rotation(q).q, q)
 
     def test_quats_read_only(self):
         grid = build_view_grid(8, 2)
         with pytest.raises(ValueError):
-            grid.quats[0, 0] = 1.0
+            grid.base[0, 0] = 1.0
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
-            so3.ViewGrid(quats=np.full((2, 4), 0.6), n_dirs=2, n_inplane=1)
+            so3.ViewGrid(base=np.full((2, 4), 0.6), n_inplane=1)
         with pytest.raises(ValueError):
-            so3.ViewGrid(quats=np.zeros((2, 3)), n_dirs=2, n_inplane=1)
+            so3.ViewGrid(base=np.zeros((2, 3)), n_inplane=1)
 
     @pytest.mark.parametrize("row", [(-1.0, 0.0, 0.0, 0.0), (0.0, -0.6, 0.8, 0.0),
                                      (0.0, 0.0, 0.0, -1.0)])
@@ -464,7 +471,7 @@ class TestVectorizedHelpers:
 
     def test_view_directions_and_rolls_match_scalar(self):
         grid = build_view_grid(24, 5)
-        q = grid.quats
+        q = grid_entries(grid)
         dirs = so3.view_directions(q)
         rolls = so3.roll_angles(q)
         for i in range(len(grid)):

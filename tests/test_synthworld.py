@@ -218,7 +218,7 @@ class TestMeanEmbeddingNorm:
     def test_matches_direct_average(self, pair):
         a, _ = pair
         grid = so3.build_view_grid(256, 1)
-        z = render_embeddings(a, grid.quats)
+        z = render_embeddings(a, grid.base)
         assert mean_embedding_norm(a) == pytest.approx(
             float(np.mean(np.linalg.norm(z, axis=1))), rel=1e-12
         )

@@ -12,7 +12,7 @@ claimed workload on a second seed.  The file also records, per checkout, the
 wall time and child peak RSS of the four CLI commands at the default
 manifest, whether each command's ``hashes.json`` and
 ``manifest.resolved.json`` are byte-equal between the checkouts, the set-up
-time and peak RSS of codebooks at three grid sizes, each in its own process,
+time and peak RSS of codebooks at four grid sizes, each in its own process,
 and the machine: ``nproc``, CPU model, Python, numpy and its BLAS
 configuration.
 """
@@ -36,7 +36,7 @@ CLAIMED = ("episodes-default", "ops_per_s")
 CLI_COMMANDS = ("rank", "sweep", "simulate", "compare")
 # hashes.json holds the SHA-256 of every other output file.
 IDENTITY_FILES = ("hashes.json", "manifest.resolved.json")
-CODEBOOK_GRIDS = ((4096, 36), (16384, 36), (16384, 72))
+CODEBOOK_GRIDS = ((4096, 36), (16384, 36), (16384, 72), (65536, 72))
 
 # Set-up time and peak RSS of one codebook, in a fresh process.
 CODEBOOK_PROBE = """
