@@ -31,6 +31,7 @@ vectors = st.lists(
 ).filter(lambda v: sum(x * x for x in v) > 1e-6)
 
 EPS = np.finfo(float).eps
+MIN_NORM = math.sqrt(np.finfo(float).tiny)
 
 # Peak RSS growth, in KiB, from a 4096 x 36 grid and codebook to a 65536 x 72
 # one, in a fresh process.
@@ -46,7 +47,6 @@ for n_dirs, n_inplane in ((4096, 36), (65536, 72)):
     peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 print(peaks[1] - peaks[0])
 """
-MIN_NORM = math.sqrt(np.finfo(float).tiny)
 
 # Ordinary magnitudes mixed with every finite double, so that norms underflow,
 # overflow and land in between.
