@@ -21,7 +21,7 @@ import numpy as np
 
 from . import so3
 from .codebook import Codebook, roll_components, unit
-from .so3 import Rotation, ViewGrid, as_unit_quats
+from .so3 import Rotation, ViewGrid, as_unit_quats, read_only
 from .synthworld import SynthObject, render_embeddings
 
 DEFAULT_DESCENT_STEPS = 32
@@ -77,8 +77,7 @@ class AmbiguityTable:
             "matched_class": np.array([p.matched_class for p in self.pairs], dtype=str),
         }
         for name, col in columns.items():
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, read_only(col))
 
     def __len__(self) -> int:
         return len(self.pairs)

@@ -6,7 +6,9 @@ against the primary metric.  Whether the baselines correlate is reported, not
 asserted: with the synthetic embedding world there is no reason to expect the
 real-image behaviour of pixel or keypoint metrics.
 
-Tie convention: a constant series has correlation 0 (scipy returns NaN there).
+The correlations are numpy's and match scipy's ``spearmanr`` and ``pearsonr``
+statistics bit for bit.  Tie convention: a constant series has correlation 0
+(scipy returns NaN there).
 Plot scaling: each metric is min-max mapped onto [0, 1] over its pair range
 by ``normalize_ambiguity``; a metric whose range is at most 1e-12 scales to
 all zeros.
@@ -18,7 +20,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import seeding
 from .ambiguity import AmbiguityTable, normalize_ambiguity
@@ -67,12 +68,28 @@ def blob_match_similarity(
     return float(np.sum(matched)) / float(np.sum(union))
 
 
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _unit_deviations(x: np.ndarray) -> np.ndarray:
+    """Deviations from the mean over their norm, taken as scipy's ``pearsonr``
+    takes it, ``max|dev| * norm(dev / max|dev|)``, so no square overflows."""
+    dev = x - np.mean(x, axis=-1, keepdims=True)
+    top = np.max(np.abs(dev))
+    return dev / (top * np.linalg.vector_norm(dev / top))
+
+
 def _correlation(values: np.ndarray, baseline: np.ndarray):
+    """``(spearman, pearson)``; ``(0, 0)`` where either series is constant."""
     if np.ptp(values) == 0.0 or np.ptp(baseline) == 0.0:
         return 0.0, 0.0
-    sp = float(stats.spearmanr(values, baseline).statistic)
-    pe = float(stats.pearsonr(values, baseline).statistic)
-    return sp, pe
+    ranks = np.column_stack([_ranks(values), _ranks(baseline)])
+    sp = float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    pe = np.clip(np.vecdot(_unit_deviations(values), _unit_deviations(baseline)), -1.0, 1.0)
+    return sp, float(np.round(pe) if len(values) == 2 else pe)  # two points: exactly +-1
 
 
 @dataclass(frozen=True)

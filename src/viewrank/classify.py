@@ -17,7 +17,8 @@ import numpy as np
 from . import seeding
 from .ambiguity import split_by_threshold
 from .codebook import roll_components, unit
-from .synthworld import SynthObject, render_embeddings
+from .so3 import read_only
+from .synthworld import SynthObject, mean_embedding_norm, render_embeddings
 
 
 class EmptyTrainSetError(ValueError):
@@ -37,9 +38,7 @@ class CentroidClassifier:
     centroids: np.ndarray  # (C, d), unit rows
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "centroids", read_only(np.asarray(self.centroids, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,4 @@ def threshold_sweep(
 def default_noise_sigma(obj: SynthObject, factor: float = 0.1) -> float:
     """Per-component noise std such that the noise vector norm is about
     ``factor`` times the mean embedding norm (default 10% of signal)."""
-    from .synthworld import mean_embedding_norm
-
     return factor * mean_embedding_norm(obj) / math.sqrt(obj.descriptor_dim)

@@ -8,11 +8,11 @@ Subcommands::
     viewrank compare   metric correlations + noise-robustness CSV
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The whole
-manifest is checked before any work, and a noise level whose sigma is not
-finite is refused as soon as the world is built.  A command writes its
-outputs into a temporary sibling of ``--out`` that is moved into place only
-on success, so a failed command changes no file in ``--out`` and creates no
-``--out``.
+manifest is checked before any work; a patch that no blob lands in is refused
+while the world is built, and a noise level whose sigma is not finite as soon
+as it is built.  A command writes its outputs into a temporary sibling of
+``--out`` that is moved into place only on success, so a failed command
+changes no file in ``--out`` and creates no ``--out``.
 All randomness derives from the manifest seed; reruns are byte-identical.
 ``--threads`` is accepted (and must be >= 1) but changes neither speed nor
 output.
@@ -61,15 +61,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_world(m: dict):
     w = m["world"]
     world_seed = int(seeding.seed_sequence(m["seed"], "world").generate_state(1)[0])
-    a, b = make_ambiguous_pair(
-        world_seed,
-        n_blobs=w["n_blobs"],
-        d=w["descriptor_dim"],
-        patch_center=w["patch_center"],
-        patch_radius=w["patch_radius"],
-        group_id=w["group_id"],
-    )
-    return a, b
+    try:
+        return make_ambiguous_pair(
+            world_seed,
+            n_blobs=w["n_blobs"],
+            d=w["descriptor_dim"],
+            patch_center=w["patch_center"],
+            patch_radius=w["patch_radius"],
+            group_id=w["group_id"],
+        )
+    except ValueError as e:
+        # The manifest has checked every other argument, so only the patch
+        # placement is left to fail: a patch too small for any blob to land in.
+        raise manifest.ManifestError(f"world.patch_radius: {e}") from e
 
 
 def _noise_sigma(obj, factor: float, field: str) -> float:

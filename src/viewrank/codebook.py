@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation, ViewGrid
+from .so3 import Rotation, ViewGrid, read_only
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -48,15 +48,6 @@ def unit(z: np.ndarray) -> np.ndarray:
     return z / n
 
 
-def cossim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two embeddings; rejects zero or underflowing norms."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.clip(unit(a) @ unit(b), -1.0, 1.0))
-
-
 def roll_components(a: np.ndarray, b: np.ndarray):
     """Paired-component projections ``(C, S)`` of ``a`` against ``b``.
 
@@ -69,22 +60,6 @@ def roll_components(a: np.ndarray, b: np.ndarray):
     ae, ao = a[..., 0::2], a[..., 1::2]
     be, bo = b[..., 0::2], b[..., 1::2]
     return ae @ be.T + ao @ bo.T, ao @ be.T - ae @ bo.T
-
-
-def roll_aligned_cossim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity maximized over a shared in-plane roll, in closed form.
-
-    Embeddings are roll-equivariant through the 2x2 pair-mixing matrix, so
-    max_delta cossim(a, M(delta) b) = hypot(C, S) / (|a| |b|) with ``C, S``
-    from ``roll_components``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.shape[-1] % 2 != 0:
-        raise ValueError("roll alignment requires an even embedding dimension")
-    return min(1.0, math.hypot(*roll_components(unit(a), unit(b))))
 
 
 @dataclass(frozen=True)
@@ -110,8 +85,7 @@ class Codebook:
         emb = np.asarray(self.embeddings, dtype=float)
         if len(emb) == 0 or len(emb) != len(self.grid.base):
             raise ValueError("embedding rows do not match the grid's directions")
-        emb.flags.writeable = False
-        object.__setattr__(self, "embeddings", emb)
+        object.__setattr__(self, "embeddings", read_only(emb))
 
     def __len__(self) -> int:
         return len(self.grid)

@@ -67,6 +67,15 @@ def unit_vector(theta: float, phi: float) -> np.ndarray:
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is already read-only, else a read-only copy, so that the
+    caller's own array stays writeable."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 def as_unit_quats(quats) -> np.ndarray:
     """Read-only ``(N, 4)`` array of unit, canonical quaternion rows (``N``
     may be 0), as ``Rotation`` holds them.
@@ -82,10 +91,7 @@ def as_unit_quats(quats) -> np.ndarray:
         raise ValueError("quaternion rows must have unit norm")
     if np.any(q[np.arange(len(q)), np.argmax(q != 0.0, axis=1)] < 0.0):
         raise ValueError("quaternion rows must be canonical (first nonzero component positive)")
-    if q.flags.writeable:
-        q = q.copy()
-        q.flags.writeable = False
-    return q
+    return read_only(q)
 
 
 @dataclass(frozen=True)

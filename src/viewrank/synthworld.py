@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .so3 import Rotation, roll_angles, view_directions
+from .so3 import Rotation, build_view_grid, read_only, roll_angles, view_directions
 
 DEFAULT_N_BLOBS = 512
 DEFAULT_DESCRIPTOR_DIM = 32
@@ -60,10 +60,8 @@ class SynthObject:
         norms = np.linalg.norm(pos, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("blob positions must lie on the unit sphere")
-        pos.flags.writeable = False
-        desc.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "descriptors", desc)
+        object.__setattr__(self, "positions", read_only(pos))
+        object.__setattr__(self, "descriptors", read_only(desc))
 
     @property
     def n_blobs(self) -> int:
@@ -87,7 +85,8 @@ def make_ambiguous_pair(
     Blob positions are shared.  Blobs whose position lies within
     ``patch_radius`` of ``patch_center`` get independently seeded descriptors
     on the second object; placement is redrawn until at least one blob falls
-    inside the patch.
+    inside the patch.  A patch that no blob lands in within 10000 draws is
+    refused with ``ValueError``.
     """
     if n_blobs < 4:
         raise ValueError(f"n_blobs must be >= 4, got {n_blobs}")
@@ -105,7 +104,8 @@ def make_ambiguous_pair(
         if np.any(inside):
             break
     else:
-        raise RuntimeError("no blob landed inside the patch after 10000 draws")
+        raise ValueError(
+            f"no blob landed inside a patch of radius {patch_radius} after 10000 draws")
 
     desc_a = rng.normal(size=(n_blobs, d))
     rng_b = np.random.default_rng([seed, 1])
@@ -196,8 +196,6 @@ def mean_embedding_norm(obj: SynthObject, n_sample_dirs: int = 256) -> float:
 
     Used to express noise levels relative to the signal scale.
     """
-    from .so3 import build_view_grid
-
     grid = build_view_grid(n_sample_dirs, 1)
     z = render_embeddings(obj, grid.base)
     return float(np.mean(np.linalg.norm(z, axis=1)))

@@ -1,6 +1,7 @@
 """Baseline similarity metrics and the correlation/robustness harness."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from scipy import stats
 
 from viewrank import seeding, so3, synthworld
 from viewrank.ambiguity import AmbiguityTable, normalize_ambiguity
-from viewrank.codebook import cossim
+from viewrank.codebook import unit
 from viewrank.baselines import (
     METRIC_NAMES,
     MetricReport,
+    _correlation,
     blob_match_similarity,
     metric_comparison,
     mse_similarity,
@@ -191,6 +193,53 @@ class TestMetricComparison:
             assert float(r[2]) == pytest.approx(report.pearson[r[0]], abs=1e-15)
 
 
+def correlation_draws(kind, rng):
+    """Seeded ``(x, y)`` pairs of one kind, from 2 to 2,000 points long."""
+    for n in (2, 2, 2, 3, 5, 17, 100, 2000):
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        if kind == "ties":
+            x, y = rng.integers(0, 3, n).astype(float), rng.integers(0, 2, n) - 0.5
+        elif kind == "scales":
+            x, y = x * 1e200, y * 1e-200
+        elif kind == "mixed-scales":
+            x, y = x * 10.0 ** rng.uniform(-200, 200), y * 10.0 ** rng.uniform(-200, 200)
+        elif kind == "near-constant":
+            x = 1.0 - 1e-12 * rng.random(n)
+        elif kind == "near-linear":
+            y = 3.0 * x + 1e-9 * y
+        yield x, y
+
+
+class TestCorrelation:
+    @pytest.mark.parametrize("kind", [
+        "normal", "ties", "scales", "mixed-scales", "near-constant", "near-linear"])
+    def test_matches_scipy_bit_for_bit(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            for x, y in correlation_draws(kind, rng):
+                if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                    continue
+                with warnings.catch_warnings():
+                    # scipy warns of nearly constant input; the statistic stands.
+                    warnings.simplefilter("ignore")
+                    want = (float(stats.spearmanr(x, y).statistic),
+                            float(stats.pearsonr(x, y).statistic))
+                assert _correlation(x, y) == want, (kind, len(x))
+
+    def test_two_points_give_pearson_exactly_plus_or_minus_one(self):
+        # As scipy's pearsonr promises; its spearmanr does not round.
+        assert _correlation(np.array([0.0, 1.0]), np.array([0.3, 0.1 + 0.2]))[1] == 1.0
+        assert _correlation(np.array([1e-300, 2e-300]), np.array([5.0, -5.0]))[1] == -1.0
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0]),
+        ([2.0], [5.0]),
+    ])
+    def test_constant_series_gives_zero(self, x, y):
+        assert _correlation(np.array(x), np.array(y)) == (0.0, 0.0)
+
+
 @pytest.fixture(scope="module")
 def sweep(pair, tables):
     a, b = pair
@@ -224,10 +273,9 @@ class TestNoiseRobustness:
         for si in (1, 2):
             sigma = rows[si][0]
             vals = [
-                cossim(
-                    synthworld.render_embedding(a, p.r_a, sigma, seeding.rng(0, "noise-a", si, i)),
-                    synthworld.render_embedding(b, p.r_b, sigma, seeding.rng(0, "noise-b", si, i)),
-                )
+                unit(synthworld.render_embedding(a, p.r_a, sigma, seeding.rng(0, "noise-a", si, i)))
+                @ unit(synthworld.render_embedding(b, p.r_b, sigma,
+                                                   seeding.rng(0, "noise-b", si, i)))
                 for i, p in enumerate(t.pairs)
             ]
             want = stats.spearmanr(vals, t.raw_similarity).statistic

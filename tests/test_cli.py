@@ -4,7 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,35 @@ class TestCompare:
         assert float(rows[1][0]) == 0.0 and float(rows[1][1]) == 1.0
 
 
+# Every command in a fresh process whose every scipy import fails: a command
+# that needed scipy would exit 1.
+NUMPY_ONLY_PROBE = """
+import sys
+sys.modules["scipy"] = None
+from viewrank import cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert loaded == ["scipy"], loaded
+manifest_path, out = sys.argv[1:]
+print(*(cli.main([command, "--manifest", manifest_path, "--out", f"{out}/{command}"])
+        for command in ("rank", "sweep", "simulate", "compare")))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path, manifest_path):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    codes = subprocess.run([sys.executable, "-c", NUMPY_ONLY_PROBE, str(manifest_path),
+                            str(tmp_path)], env=env, capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert codes == ["0"] * 4
+    for out in tmp_path.iterdir():
+        hashes = json.loads((out / "hashes.json").read_text())
+        written = file_hashes(out)
+        assert set(written) - set(hashes) == {"hashes.json", "manifest.resolved.json"}
+        assert hashes == {name: written[name] for name in hashes}
+
+
 def finite_leaves(value):
     """Every number in a parsed JSON value is finite."""
     if isinstance(value, dict):
@@ -222,13 +255,15 @@ class TestErrors:
         assert run(bad, out, "rank") == 2
         assert not out.exists()
 
-    # A noise factor of 1e308 passes the manifest, but its noise sigma is inf.
+    # A noise factor of 1e308 passes the manifest, but its noise sigma is inf;
+    # a patch radius of 1e-3 passes it, but no blob lands in so small a patch.
     @pytest.mark.parametrize("section, field, value, command", [
         pytest.param("sweep", "noise_factor", -0.5, "sweep", id="sweep-sweep"),
         pytest.param("policy", "noise_factor", -0.5, "simulate", id="policy-simulate"),
         pytest.param("sweep", "noise_factor", 1e308, "sweep", id="sweep-sweep-1e308"),
         pytest.param("policy", "noise_factor", 1e308, "simulate", id="policy-simulate-1e308"),
         pytest.param("compare", "sigmas", [0.0, 1e308], "compare", id="compare-compare-1e308"),
+        pytest.param("world", "patch_radius", 1e-3, "sweep", id="world-sweep-1e-3"),
     ])
     def test_negative_noise_factor_exits_2(self, tmp_path, section, field, value, command):
         m = json.loads(json.dumps(SMALL_MANIFEST))
@@ -300,14 +335,9 @@ class TestErrors:
         assert (out / "keep.txt").read_text() == "earlier run"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    def test_runtime_failure_creates_no_out(self, tmp_path):
-        # No blob lands inside so small a patch, so the run fails after the
-        # manifest is accepted.
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(dict(SMALL_MANIFEST, world=dict(
-            SMALL_MANIFEST["world"], patch_radius=1e-3))))
+    def test_runtime_failure_creates_no_out(self, tmp_path, manifest_path, failing_compare):
         out = tmp_path / "nested" / "out"
-        assert run(bad, out, "sweep") == 1
+        assert run(manifest_path, out, "compare") == 1
         assert not out.exists()
         assert list(out.parent.iterdir()) == []
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from viewrank import policy, so3
+from viewrank import ambiguity, classify, codebook, policy, so3, synthworld
 from viewrank.so3 import (
     Rotation,
     build_view_grid,
@@ -485,3 +485,39 @@ class TestVectorizedHelpers:
         a = so3.random_rotation(np.random.default_rng(5))
         b = so3.random_rotation(np.random.default_rng(5))
         assert a == b
+
+
+
+def _table_ambiguity(amb):
+    pair = ambiguity.MatchedPair(0.5, IDENTITY, IDENTITY, "B")
+    return ambiguity.AmbiguityTable("A", (pair, pair), amb, {}).ambiguity
+
+
+def _synth_object(positions=np.eye(3), descriptors=np.ones((3, 4))):
+    return synthworld.SynthObject(positions, descriptors, "A", "g")
+
+
+# Every constructor that stores an array: a writeable input, and the array
+# the constructed object keeps from it.
+@pytest.mark.parametrize("make_input, stored_from", [
+    pytest.param(lambda: build_view_grid(4, 1).base.copy(),
+                 lambda a: so3.ViewGrid(a, 2).base, id="ViewGrid.base"),
+    pytest.param(lambda: np.eye(4, 8),
+                 lambda a: codebook.Codebook(build_view_grid(4, 2), a, "A").embeddings,
+                 id="Codebook.embeddings"),
+    pytest.param(lambda: np.eye(2, 8),
+                 lambda a: classify.CentroidClassifier(("A", "B"), a).centroids,
+                 id="CentroidClassifier.centroids"),
+    pytest.param(lambda: np.eye(3), lambda a: _synth_object(positions=a).positions,
+                 id="SynthObject.positions"),
+    pytest.param(lambda: np.ones((3, 4)), lambda a: _synth_object(descriptors=a).descriptors,
+                 id="SynthObject.descriptors"),
+    pytest.param(lambda: np.array([0.25, 0.75]), _table_ambiguity,
+                 id="AmbiguityTable.ambiguity"),
+])
+def test_constructor_leaves_caller_array_writeable(make_input, stored_from):
+    given_array = make_input()
+    stored = stored_from(given_array)
+    assert given_array.flags.writeable
+    assert not stored.flags.writeable
+    assert np.array_equal(stored, given_array)

@@ -63,6 +63,8 @@ class TestMakeAmbiguousPair:
             make_ambiguous_pair(0, patch_radius=0.0)
         with pytest.raises(ValueError):
             make_ambiguous_pair(0, patch_radius=math.pi / 2.0)
+        with pytest.raises(ValueError, match="no blob landed"):
+            make_ambiguous_pair(0, n_blobs=4, patch_radius=1e-3)
 
 
 class TestSynthObject:

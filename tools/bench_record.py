@@ -9,8 +9,9 @@ alternating pairs (the parent first in odd pairs), and each end-to-end
 metric is summarized by its median, quartiles and the pairs the change won
 (ties count for neither).  ``--claim-seed`` repeats the pairs of the first
 claimed workload on a second seed.  The file also records, per checkout, the
-wall time and child peak RSS of the four CLI commands at the default
-manifest, whether each command's ``hashes.json`` and
+wall time and child peak RSS of ``import viewrank.cli`` and whether it loaded
+scipy, the wall time and child peak RSS of the four CLI commands at the
+default manifest, whether each command's ``hashes.json`` and
 ``manifest.resolved.json`` are byte-equal between the checkouts, the set-up
 time and peak RSS of codebooks at four grid sizes, each in its own process,
 and the machine: ``nproc``, CPU model, Python, numpy and its BLAS
@@ -37,6 +38,14 @@ CLI_COMMANDS = ("rank", "sweep", "simulate", "compare")
 # hashes.json holds the SHA-256 of every other output file.
 IDENTITY_FILES = ("hashes.json", "manifest.resolved.json")
 CODEBOOK_GRIDS = ((4096, 36), (16384, 36), (16384, 72), (65536, 72))
+IMPORT_RUNS = 5
+
+# Whether importing the CLI loads scipy, in a fresh process.
+IMPORT_PROBE = """
+import json, sys
+import viewrank.cli
+print(json.dumps("scipy" in sys.modules))
+"""
 
 # Set-up time and peak RSS of one codebook, in a fresh process.
 CODEBOOK_PROBE = """
@@ -123,6 +132,16 @@ def cli_figures(tree: Path, outputs: Path) -> dict:
     return out
 
 
+def import_figures(tree: Path) -> dict:
+    """Wall time and child peak RSS of ``IMPORT_RUNS`` fresh imports of the
+    CLI, and whether any of them loaded scipy."""
+    runs = [run_child([sys.executable, "-c", IMPORT_PROBE], tree, src_env(tree))
+            for _ in range(IMPORT_RUNS)]
+    return {"wall_s": [wall for _, wall, _ in runs],
+            "child_peak_rss_mb": [rss for _, _, rss in runs],
+            "scipy_loaded": any(json.loads(out) for out, _, _ in runs)}
+
+
 def output_identity(outputs: dict) -> dict:
     """Per command and file of ``IDENTITY_FILES``, whether both checkouts
     wrote the same bytes."""
@@ -185,6 +204,7 @@ def main(argv=None) -> int:
     runs = pairs(trees, CLAIMED[0], args.pairs, args.seconds, args.claim_seed)
     record["claim_seed_run"] = summarize(runs["parent"], runs["change"], [
         m for m in spec["end_to_end"] if m["name"] == CLAIMED[1]])
+    record["cli_import"] = {side: import_figures(t) for side, t in trees.items()}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {side: Path(tmp) / side for side in trees}
         record["cli_default_manifest"] = {side: cli_figures(t, outputs[side])
