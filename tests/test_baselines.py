@@ -226,11 +226,6 @@ class TestCorrelation:
                             float(stats.pearsonr(x, y).statistic))
                 assert _correlation(x, y) == want, (kind, len(x))
 
-    def test_two_points_give_pearson_exactly_plus_or_minus_one(self):
-        # As scipy's pearsonr promises; its spearmanr does not round.
-        assert _correlation(np.array([0.0, 1.0]), np.array([0.3, 0.1 + 0.2]))[1] == 1.0
-        assert _correlation(np.array([1e-300, 2e-300]), np.array([5.0, -5.0]))[1] == -1.0
-
     @pytest.mark.parametrize("x, y", [
         ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),
         ([0.0, 1.0, 2.0], [3.0, 3.0, 3.0]),
