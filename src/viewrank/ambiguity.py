@@ -82,18 +82,10 @@ class AmbiguityTable:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def lookup(self, r: Rotation) -> float:
-        """Ambiguity of the nearest ranked orientation (geodesic nearest grid point)."""
-        return float(self.ambiguity[self.nearest_index(r)])
-
-    def nearest_index(self, r: Rotation) -> int:
-        dots = np.abs(self.r_a_quats @ r.q)
-        return int(np.argmax(dots))
-
-    def lookup_batch(self, quats: np.ndarray) -> np.ndarray:
-        """Vectorized nearest-orientation lookup for a (N, 4) quaternion array."""
-        dots = np.abs(np.asarray(quats, dtype=float) @ self.r_a_quats.T)
-        return self.ambiguity[np.argmax(dots, axis=1)]
+    def lookup(self, quats: np.ndarray):
+        """Ambiguity of the nearest ranked orientation (largest ``|q . r_a|``)
+        for a ``(4,)`` quaternion row, or per row of an ``(N, 4)`` array."""
+        return self.ambiguity[np.argmax(np.abs(quats @ self.r_a_quats.T), axis=-1)]
 
     def to_json(self) -> dict:
         return {

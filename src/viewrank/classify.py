@@ -112,19 +112,19 @@ def train(
     return CentroidClassifier(tuple(classes), np.array(centroids))
 
 
-def predict(clf: CentroidClassifier, z: np.ndarray):
+def predict(clf: CentroidClassifier, z: np.ndarray) -> str:
     """Class of the nearest centroid by roll-aligned cosine similarity.
 
     Embeddings are equivariant under in-plane roll, so each centroid is
     compared at its best roll alignment (closed form over consecutive
-    component pairs).  Margin is best minus second-best similarity
-    (infinite for a single class).
+    component pairs); ties go to the first class.
     """
-    s = np.hypot(*roll_components(unit(z), clf.centroids))
-    order = np.argsort(-s, kind="stable")
-    best = int(order[0])
-    margin = float(s[best] - s[int(order[1])]) if len(s) > 1 else math.inf
-    return clf.classes[best], margin
+    return clf.classes[int(_nearest(clf, z))]
+
+
+def _nearest(clf: CentroidClassifier, z: np.ndarray):
+    """Index of ``predict``'s class for ``z``, or per row of an ``(N, d)`` array."""
+    return np.argmax(np.hypot(*roll_components(unit(z), clf.centroids)), axis=-1)
 
 
 def evaluate_on_rotations(
@@ -147,8 +147,7 @@ def evaluate_on_rotations(
             continue
         idx = gen.integers(0, len(quats), size=n_samples)
         z = _noisy_renders(obj, quats[idx], noise_sigma, gen)
-        s = np.hypot(*roll_components(unit(z), clf.centroids))
-        pred = np.argmax(s, axis=1)
+        pred = _nearest(clf, z)
         true_ci = clf.classes.index(obj.class_id)
         correct += int(np.sum(pred == true_ci))
         total += n_samples

@@ -10,9 +10,10 @@ Subcommands::
 Exit codes: 0 success, 1 runtime failure, 2 configuration error.  The whole
 manifest is checked before any work; a patch that no blob lands in is refused
 while the world is built, and a noise level whose sigma is not finite as soon
-as it is built.  A command writes its outputs into a temporary sibling of
-``--out`` that is moved into place only on success, so a failed command
-changes no file in ``--out`` and creates no ``--out``.
+as it is built.  A command writes its outputs into a temporary directory in
+the nearest existing ancestor of ``--out``; ``--out`` and its missing parents
+are made, and the outputs moved into place, only on success, so a failed
+command changes no file in ``--out`` and leaves no new directory.
 All randomness derives from the manifest seed; reruns are byte-identical.
 ``--threads`` is accepted (and must be >= 1) but changes neither speed nor
 output.
@@ -238,12 +239,14 @@ def main(argv=None) -> int:
         out: Path = args.out.resolve()
         if out.exists() and not out.is_dir():
             raise NotADirectoryError(f"--out {args.out} is not a directory")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=out.parent))
+        # Staged in the nearest existing ancestor, so that --out and its
+        # missing parents are made, on the same filesystem, only on success.
+        anchor = next(p for p in out.parents if p.exists())
+        staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
         try:
             _COMMANDS[args.command](m, staging)
             manifest.save(m, staging / "manifest.resolved.json")
-            out.mkdir(exist_ok=True)
+            out.mkdir(parents=True, exist_ok=True)
             for path in sorted(staging.iterdir()):
                 os.replace(path, out / path.name)
         finally:

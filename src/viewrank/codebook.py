@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .so3 import Rotation, ViewGrid, read_only
+from .so3 import ViewGrid, read_only
 from .synthworld import SynthObject, render_embeddings
 
 
@@ -60,13 +60,6 @@ def roll_components(a: np.ndarray, b: np.ndarray):
     ae, ao = a[..., 0::2], a[..., 1::2]
     be, bo = b[..., 0::2], b[..., 1::2]
     return ae @ be.T + ao @ bo.T, ao @ be.T - ae @ bo.T
-
-
-@dataclass(frozen=True)
-class PoseHypothesis:
-    class_id: str
-    rotation: Rotation
-    score: float
 
 
 @dataclass(frozen=True)
@@ -121,21 +114,13 @@ def build_codebook(obj: SynthObject, grid: ViewGrid) -> Codebook:
     return Codebook(grid=grid, embeddings=z, class_id=obj.class_id)
 
 
-def estimate_pose(cb: Codebook, z: np.ndarray) -> PoseHypothesis:
-    """Best codebook entry by cosine similarity, its score clipped to [-1, 1];
-    ties go to the lowest index."""
-    return _hypothesis(cb, *cb.best(z))
-
-
-def _hypothesis(cb: Codebook, i: int, score: float) -> PoseHypothesis:
-    return PoseHypothesis(cb.class_id, cb.grid.entry(i), float(np.clip(score, -1.0, 1.0)))
-
-
-def hypotheses_for_group(codebooks, z: np.ndarray) -> list:
-    """``estimate_pose`` for every in-group codebook, sorted by unclipped
-    score, highest first; equal scores keep codebook order."""
+def hypotheses_for_group(codebooks, z: np.ndarray) -> tuple:
+    """``(class_ids, quats)``: each codebook's best entry for ``z``, as a
+    tuple of class ids and a ``(K, 4)`` array of grid rows, sorted by
+    unclipped score, highest first; equal scores keep codebook order."""
     if not codebooks:
         raise ValueError("need at least one codebook")
     found = [(cb, *cb.best(z)) for cb in codebooks]
     found.sort(key=lambda t: -t[2])  # stable, so equal scores keep codebook order
-    return [_hypothesis(cb, i, s) for cb, i, s in found]
+    return (tuple(cb.class_id for cb, _, _ in found),
+            np.array([cb.grid.entry(i).q for cb, i, _ in found]))

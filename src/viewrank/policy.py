@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,21 +77,18 @@ def build_sphere_reachable(n_dirs: int) -> ReachableSet:
     return ReachableSet(so3.build_view_grid(n_dirs, 1).base)
 
 
-def next_best_view(hypotheses, tables, reachable: ReachableSet) -> Rotation:
-    """Reachable orientation ``r`` minimizing the mean table ambiguity of the
-    hypotheses seen from it (lookup key ``r^-1 @ r_hyp``); ties by lowest index."""
-    return Rotation(reachable.quats[_next_best_index(hypotheses, tables, reachable)])
-
-
-def _next_best_index(hypotheses, tables, reachable: ReachableSet) -> int:
-    if not hypotheses:
+def next_best_view(class_ids, quats, tables, reachable: ReachableSet) -> int:
+    """Index of the reachable orientation ``r`` minimizing the mean table
+    ambiguity of the hypotheses, class ``class_ids[k]`` at world pose
+    ``quats[k]``, seen from it (lookup key ``r^-1 quats[k]``); ties by lowest
+    index."""
+    if not class_ids:
         raise ValueError("need at least one hypothesis")
     inv_q = so3.quat_conj(reachable.quats)
     mean_amb = np.zeros(len(reachable))
-    for h in hypotheses:
-        rel = so3.quat_mul(inv_q, h.rotation.q)
-        mean_amb += tables[h.class_id].lookup_batch(rel)
-    mean_amb /= len(hypotheses)
+    for class_id, q in zip(class_ids, quats):
+        mean_amb += tables[class_id].lookup(so3.quat_mul(inv_q, q))
+    mean_amb /= len(class_ids)
     return int(np.argmin(mean_amb))
 
 
@@ -172,10 +169,10 @@ def run_episode(
         z = render_embedding(
             true_obj, rel_true, noise_sigma, seeding.rng(seed, "obs", len(visited) - 1)
         )
-        hyps = hypotheses_for_group(codebooks, z)
-        amb = float(np.mean([tables[h.class_id].lookup(h.rotation) for h in hyps]))
+        class_ids, quats = hypotheses_for_group(codebooks, z)
+        amb = float(np.mean([tables[c].lookup(q) for c, q in zip(class_ids, quats)]))
         ambiguities.append(amb)
-        predictions.append(predict(classifier, z)[0])
+        predictions.append(predict(classifier, z))
 
         if amb < ambiguity_threshold:
             reason = TERMINATED_BELOW_THRESHOLD
@@ -183,11 +180,8 @@ def run_episode(
 
         nbv_idx = current_idx
         if policy == "next_best":
-            world_hyps = [
-                replace(h, rotation=Rotation(so3.normalize(so3.quat_mul(camera.q, h.rotation.q))))
-                for h in hyps
-            ]
-            nbv_idx = _next_best_index(world_hyps, tables, reachable)
+            world = so3.normalize(so3.quat_mul(camera.q, quats))
+            nbv_idx = next_best_view(class_ids, world, tables, reachable)
         elif len(reachable) > 1:
             # A uniform pick among the other members, without listing them.
             gen = seeding.rng(seed, "policy", len(visited) - 1)

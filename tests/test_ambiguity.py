@@ -428,20 +428,26 @@ class TestRankObject:
         assert np.max(np.abs(ra - rb)) < 0.05
 
 
+def indexed(t):
+    """``t`` with ambiguity ``i`` at row ``i``, so that ``lookup`` returns
+    the nearest row's index."""
+    return replace(t, ambiguity=np.arange(len(t), dtype=float))
+
+
 class TestTableQueries:
     def test_lookup_matches_nearest_index(self, tables):
         t = tables["A"]
         rng = np.random.default_rng(3)
         for _ in range(20):
             r = so3.random_rotation(rng)
-            assert t.lookup(r) == t.ambiguity[t.nearest_index(r)]
+            assert t.lookup(r.q) == t.ambiguity[int(np.argmax(np.abs(t.r_a_quats @ r.q)))]
 
     def test_lookup_batch_matches_scalar(self, tables):
         t = tables["A"]
         rng = np.random.default_rng(4)
         rots = [so3.random_rotation(rng) for _ in range(32)]
-        batch = t.lookup_batch(np.array([r.q for r in rots]))
-        assert np.array_equal(batch, [t.lookup(r) for r in rots])
+        batch = t.lookup(np.array([r.q for r in rots]))
+        assert np.array_equal(batch, [t.lookup(r.q) for r in rots])
 
     def test_r_a_array_is_pair_rows(self, tables):
         t = tables["A"]
@@ -465,14 +471,14 @@ class TestTableQueries:
             assert np.array_equal(getattr(swapped, name), getattr(t, name)[order])
 
     def test_exact_grid_point(self, tables):
-        t = tables["A"]
-        assert t.nearest_index(t.pairs[10].r_a) == 10
+        t = indexed(tables["A"])
+        assert t.lookup(t.pairs[10].r_a.q) == 10
 
     def test_nearest_uses_quaternion_double_cover(self, tables):
-        t = tables["A"]
+        t = indexed(tables["A"])
         r = t.pairs[5].r_a
         flipped = so3.Rotation(so3.normalize(-r.q))
-        assert t.nearest_index(flipped) == 5
+        assert t.lookup(flipped.q) == 5
 
     def test_json_roundtrip(self, tmp_path, pair, codebooks, assert_table_json):
         # 512 views: renormalizing on write would move the last bits of 3
@@ -518,7 +524,7 @@ class TestSplitByThreshold:
         t = tables["A"]
         v = float(t.ambiguity[len(t) // 2])
         split = split_by_threshold(t, v)
-        assert np.all(t.lookup_batch(split.train_quats) < v)
+        assert np.all(t.lookup(split.train_quats) < v)
 
     def test_train_orientations_hide_patch_at_low_threshold(self, pair, tables):
         split = split_by_threshold(tables["A"], 0.05)

@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from viewrank import baselines, cli, manifest
 
@@ -257,6 +260,8 @@ class TestErrors:
 
     # A noise factor of 1e308 passes the manifest, but its noise sigma is inf;
     # a patch radius of 1e-3 passes it, but no blob lands in so small a patch.
+    # Both are refused after the staging directory is made, so --out is
+    # nested: its missing parents must not be left behind either.
     @pytest.mark.parametrize("section, field, value, command", [
         pytest.param("sweep", "noise_factor", -0.5, "sweep", id="sweep-sweep"),
         pytest.param("policy", "noise_factor", -0.5, "simulate", id="policy-simulate"),
@@ -270,9 +275,9 @@ class TestErrors:
         m[section][field] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(m))
-        out = tmp_path / "out"
+        out = tmp_path / "nested" / "deeper" / "out"
         assert run(bad, out, command) == 2
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == [bad]
 
     @pytest.mark.parametrize("text", [
         '{"ranking": {"descent_steps": -1}}',
@@ -339,7 +344,8 @@ class TestErrors:
         out = tmp_path / "nested" / "out"
         assert run(manifest_path, out, "compare") == 1
         assert not out.exists()
-        assert list(out.parent.iterdir()) == []
+        assert not (tmp_path / "nested").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_manifest_exits_2(self, tmp_path):
         assert run(tmp_path / "nope.json", tmp_path / "out", "rank") == 2
@@ -354,3 +360,82 @@ class TestErrors:
         out = tmp_path / "file-in-the-way"
         out.write_text("occupied")
         assert cli.main(["rank", "--out", str(out)]) == 1
+
+
+# Manifest fuzzing: one leaf of SMALL_MANIFEST gets a drawn value.  Integers
+# are drawn at most COUNT_CAP, since a count with no upper bound can exhaust
+# memory.
+COUNT_CAP = 64
+ODD_VALUES = st.one_of(
+    st.integers(-3, COUNT_CAP),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-3, math.pi / 2.0, 1e-300, 1e308, -1e308,
+                     math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.sampled_from(["sphere", "trajectory", *baselines.METRIC_NAMES]),
+    st.none(),
+    st.dictionaries(st.sampled_from(["kind", "x"]), st.integers(0, 3), max_size=1),
+)
+IN_RANGE_LISTS = {
+    "world.patch_center": st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    "sweep.thresholds": st.lists(st.floats(0.0, 1.0) | st.sampled_from([0, 1]), max_size=4),
+    "sweep.caps": st.lists(st.floats(0.0, 1.0) | st.sampled_from([0, 1]), max_size=4),
+    "compare.metrics": st.lists(st.sampled_from(baselines.METRIC_NAMES), max_size=4),
+    "compare.sigmas": st.lists(st.floats(0.0, 2.0) | st.sampled_from([0, 1e307]), max_size=4),
+}
+COMMAND_OUTPUTS = {
+    "rank": {"ambiguity_A.json", "ambiguity_B.json", "sorted_pairs_A.csv",
+             "sorted_pairs_B.csv"},
+    "sweep": {"sweep.csv"},
+    "simulate": {"episodes_next_best.jsonl", "episodes_random.jsonl", "success_vs_budget.csv"},
+    "compare": {"metric_correlations.csv", "noise_robustness.csv"},
+}
+
+
+def in_range(path):
+    """Values of the field's type, mostly in its range or on a boundary."""
+    if path in IN_RANGE_LISTS:
+        return IN_RANGE_LISTS[path]
+    kind = manifest.FIELDS[path][1]
+    if kind is int:
+        return st.integers(0, COUNT_CAP)
+    if kind is str:
+        return st.sampled_from(["trajectory", "sphere", "pair-1"])
+    return st.floats(0.0, 2.0)
+
+
+@st.composite
+def one_field_manifests(draw):
+    path = draw(st.sampled_from(sorted(manifest.FIELDS)))
+    m = json.loads(json.dumps(SMALL_MANIFEST))
+    *sections, leaf = path.split(".")
+    node = m
+    for key in sections:
+        node = node.setdefault(key, {})
+    node[leaf] = draw(in_range(path) | ODD_VALUES | st.lists(ODD_VALUES, max_size=4))
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=one_field_manifests(), command=st.sampled_from(sorted(COMMAND_OUTPUTS)))
+@example(m={**SMALL_MANIFEST, "world": {**SMALL_MANIFEST["world"], "patch_radius": 1e-3}},
+         command="rank")
+def test_any_one_field_manifest_runs_or_is_refused(m, command):
+    # Exit 0 leaves every output, each matching hashes.json; exit 2 leaves
+    # neither --out nor its missing parent; exit 1 is never right.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(m))
+        out = Path(tmp) / "nested" / "out"
+        code = run(path, out, command)
+        assert code in (0, 2), m
+        if code == 2:
+            assert not out.parent.exists()
+            assert list(Path(tmp).iterdir()) == [path]
+            return
+        hashes = json.loads((out / "hashes.json").read_text())
+        assert COMMAND_OUTPUTS[command] <= set(hashes)
+        written = file_hashes(out)
+        assert set(written) == set(hashes) | {"hashes.json", "manifest.resolved.json"}
+        assert hashes == {name: written[name] for name in hashes}

@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 from viewrank import classify, codebook, so3, synthworld
 from viewrank.codebook import (
     Codebook,
-    PoseHypothesis,
     build_codebook,
-    estimate_pose,
     hypotheses_for_group,
     roll_components,
     unit,
@@ -194,14 +192,22 @@ def reference_best(cb, z):
 
 def reference_hypotheses(codebooks, z):
     """Oracle for ``hypotheses_for_group``: the full-scan best entry per
-    codebook, sorted by unclipped score then codebook index."""
+    codebook, sorted by unclipped score then codebook index, as a list of
+    ``(class_id, row)``."""
     hyps = []
     for ci, cb in enumerate(codebooks):
         i, s = reference_best(cb, z)
-        hyps.append(((-s, ci), PoseHypothesis(
-            cb.class_id, cb.grid.entry(i), float(np.clip(s, -1.0, 1.0)))))
+        hyps.append(((-s, ci), (cb.class_id, cb.grid.entry(i).q)))
     hyps.sort(key=lambda t: t[0])
     return [h for _, h in hyps]
+
+
+def same_hypotheses(found, reference) -> bool:
+    """``hypotheses_for_group``'s ``(class_ids, quats)`` holds the
+    ``(class_id, row)`` list ``reference``, bit for bit and in order."""
+    class_ids, quats = found
+    return (list(class_ids) == [c for c, _ in reference]
+            and np.array_equal(quats, np.reshape([q for _, q in reference], (-1, 4))))
 
 
 @st.composite
@@ -356,10 +362,11 @@ class TestScoresAndEstimatePose:
     def test_grid_view_recovered_exactly(self, pair, codebooks, codebook_grid):
         a, _ = pair
         r = codebook_grid.entry(411)
-        hyp = estimate_pose(codebooks[0], synthworld.render_embedding(a, r))
-        assert hyp.rotation == r
-        assert hyp.score == pytest.approx(1.0, abs=1e-9)
-        assert hyp.class_id == "A"
+        z = synthworld.render_embedding(a, r)
+        class_ids, quats = hypotheses_for_group(codebooks[:1], z)
+        assert so3.Rotation(quats[0]) == r
+        assert codebooks[0].best(z)[1] == pytest.approx(1.0, abs=1e-9)
+        assert class_ids == ("A",)
 
     def test_matches_brute_force(self, pair, codebooks):
         a, _ = pair
@@ -368,9 +375,9 @@ class TestScoresAndEstimatePose:
         rng = np.random.default_rng(6)
         for _ in range(10):
             z = synthworld.render_embedding(a, so3.random_rotation(rng))
-            hyp = estimate_pose(cb, z)
+            i, _ = cb.best(z)
             best = max(range(len(cb)), key=lambda i: (unit(rows[i]) @ unit(z), -i))
-            assert hyp.rotation == cb.grid.entry(best)
+            assert cb.grid.entry(i) == cb.grid.entry(best)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -411,35 +418,35 @@ class TestScoresAndEstimatePose:
     def test_scale_invariance(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.3, 0.4, -0.5]))
-        h1 = estimate_pose(codebooks[0], z)
-        h2 = estimate_pose(codebooks[0], 7.5 * z)
-        assert h1.rotation == h2.rotation
-        assert h1.score == pytest.approx(h2.score, abs=1e-12)
+        (i1, s1), (i2, s2) = codebooks[0].best(z), codebooks[0].best(7.5 * z)
+        assert codebooks[0].grid.entry(i1) == codebooks[0].grid.entry(i2)
+        assert s1 == pytest.approx(s2, abs=1e-12)
 
     def test_tie_breaks_to_lowest_index(self):
         grid = so3.build_view_grid(3, 1)
         emb = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cb = Codebook(grid=grid, embeddings=emb, class_id="A")
-        assert estimate_pose(cb, np.array([2.0, 0.0])).rotation == grid.entry(0)
+        assert cb.grid.entry(cb.best(np.array([2.0, 0.0]))[0]) == grid.entry(0)
 
 
 class TestGroupQueries:
     def test_hypotheses_sorted_and_counted(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
-        hyps = hypotheses_for_group(codebooks, z)
-        assert len(hyps) == 2
-        scores = [h.score for h in hyps]
+        class_ids, quats = hypotheses_for_group(codebooks, z)
+        assert len(class_ids) == len(quats) == 2
+        by_class = {cb.class_id: cb for cb in codebooks}
+        scores = [by_class[c].best(z)[1] for c in class_ids]
         assert scores == sorted(scores, reverse=True)
-        assert {h.class_id for h in hyps} == {"A", "B"}
+        assert set(class_ids) == {"A", "B"}
 
     def test_top_hypothesis_matches_estimate_pose(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.5, 0.5, 0.7]))
-        hyps = hypotheses_for_group(codebooks, z)
-        per_class = [estimate_pose(cb, z) for cb in codebooks]
-        best = max(per_class, key=lambda h: h.score)
-        assert hyps[0].score == pytest.approx(best.score, abs=1e-12)
+        class_ids, _ = hypotheses_for_group(codebooks, z)
+        by_class = {cb.class_id: cb for cb in codebooks}
+        best = max(cb.best(z)[1] for cb in codebooks)
+        assert by_class[class_ids[0]].best(z)[1] == pytest.approx(best, abs=1e-12)
 
     @given(st.data())
     @settings(max_examples=200)
@@ -459,26 +466,27 @@ class TestGroupQueries:
             z[0] = 1.0
         for cb in codebooks:
             assert cb.best(z) == reference_best(cb, z)
-            assert estimate_pose(cb, z) == reference_hypotheses([cb], z)[0]
-        assert hypotheses_for_group(codebooks, z) == reference_hypotheses(codebooks, z)
+            assert same_hypotheses(hypotheses_for_group([cb], z), reference_hypotheses([cb], z))
+        assert same_hypotheses(hypotheses_for_group(codebooks, z),
+                               reference_hypotheses(codebooks, z))
 
     def test_equal_scores_keep_codebook_order(self):
         grid = so3.build_view_grid(2, 1)
         emb = np.array([[0.0, 1.0], [1.0, 0.0]])
         codebooks = [Codebook(grid=grid, embeddings=emb[::step], class_id=cls)
                      for cls, step in (("B", 1), ("A", -1))]
-        hyps = hypotheses_for_group(codebooks, np.array([3.0, 0.0]))
-        assert [h.class_id for h in hyps] == ["B", "A"]
-        assert [h.score for h in hyps] == [1.0, 1.0]
-        assert [h.rotation for h in hyps] == [grid.entry(1), grid.entry(0)]
-        assert hypotheses_for_group(codebooks[::-1], np.array([3.0, 0.0]))[0].class_id == "A"
+        class_ids, quats = hypotheses_for_group(codebooks, np.array([3.0, 0.0]))
+        assert class_ids == ("B", "A")
+        assert [cb.best(np.array([3.0, 0.0]))[1] for cb in codebooks] == [1.0, 1.0]
+        assert [so3.Rotation(q) for q in quats] == [grid.entry(1), grid.entry(0)]
+        assert hypotheses_for_group(codebooks[::-1], np.array([3.0, 0.0]))[0][0] == "A"
 
     def test_rotations_are_codebook_rows(self, pair, codebooks):
         a, _ = pair
         z = synthworld.render_embedding(a, so3.look_at([0.1, -0.9, 0.2]))
-        for h in hypotheses_for_group(codebooks, z):
-            cb = codebooks[0] if h.class_id == "A" else codebooks[1]
-            assert np.any(np.all(grid_entries(cb.grid) == h.rotation.q, axis=1))
+        for class_id, q in zip(*hypotheses_for_group(codebooks, z)):
+            cb = codebooks[0] if class_id == "A" else codebooks[1]
+            assert np.any(np.all(grid_entries(cb.grid) == q, axis=1))
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
@@ -496,7 +504,7 @@ class TestCodebookJson:
     def test_query_does_not_mutate(self, codebooks):
         cb = codebooks[0]
         quats, embeddings = cb.grid.base.copy(), cb.embeddings.copy()
-        estimate_pose(cb, np.ones(cb.embeddings.shape[1]))
+        cb.best(np.ones(cb.embeddings.shape[1]))
         hypotheses_for_group([cb], np.ones(cb.embeddings.shape[1]))
         assert np.array_equal(cb.grid.base, quats)
         assert np.array_equal(cb.embeddings, embeddings)

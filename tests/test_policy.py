@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewrank import ambiguity, classify, policy, so3, synthworld
-from viewrank.codebook import PoseHypothesis
 from viewrank.policy import (
     EpisodeResult,
     ReachableSet,
@@ -34,14 +33,19 @@ def relative(camera, pose):
     return compose(so3.Rotation(so3.normalize(so3.quat_conj(camera.q))), pose)
 
 
-def expected_ambiguity(r_next, hypotheses, tables) -> float:
+def expected_ambiguity(r_next, class_ids, quats, tables) -> float:
     """Scalar oracle for next_best_view: mean table ambiguity seen from ``r_next``.
 
-    Each hypothesis rotation is the (world-frame) object orientation for its
+    Each hypothesis row is the (world-frame) object orientation for its
     class; the lookup key is the relative orientation ``r_next^T @ r_hyp``.
     """
-    return sum(tables[h.class_id].lookup(relative(r_next, h.rotation))
-               for h in hypotheses) / len(hypotheses)
+    return sum(tables[c].lookup(relative(r_next, so3.Rotation(q)).q)
+               for c, q in zip(class_ids, quats)) / len(class_ids)
+
+
+def hypothesis_rows(*rotations):
+    """``(K, 4)`` world rows of hypothesis rotations."""
+    return np.array([r.q for r in rotations])
 
 
 @pytest.fixture(scope="module")
@@ -122,47 +126,44 @@ class TestReachableSet:
 class TestExpectedAmbiguity:
     def test_matches_manual_mean(self, tables, reachable):
         rng = np.random.default_rng(2)
-        hyps = [
-            PoseHypothesis("A", so3.random_rotation(rng), 0.9),
-            PoseHypothesis("B", so3.random_rotation(rng), 0.8),
-        ]
+        ra, rb = so3.random_rotation(rng), so3.random_rotation(rng)
         r = so3.Rotation(reachable.quats[3])
         manual = 0.5 * (
-            tables["A"].lookup(relative(r, hyps[0].rotation))
-            + tables["B"].lookup(relative(r, hyps[1].rotation))
+            tables["A"].lookup(relative(r, ra).q)
+            + tables["B"].lookup(relative(r, rb).q)
         )
-        assert expected_ambiguity(r, hyps, tables) == pytest.approx(manual, abs=1e-15)
+        got = expected_ambiguity(r, ("A", "B"), hypothesis_rows(ra, rb), tables)
+        assert got == pytest.approx(manual, abs=1e-15)
 
     def test_requires_hypotheses(self, tables, reachable):
         with pytest.raises(ValueError):
-            next_best_view([], tables, reachable)
+            next_best_view((), np.empty((0, 4)), tables, reachable)
 
 
 class TestNextBestView:
     def test_singleton_reachable(self, tables):
         only = so3.look_at([0.0, 1.0, 0.0])
         rs = ReachableSet(only.q[None, :])
-        hyp = PoseHypothesis("A", so3.Rotation([1.0, 0.0, 0.0, 0.0]), 1.0)
-        assert next_best_view([hyp], tables, rs) == only
+        identity = hypothesis_rows(so3.Rotation([1.0, 0.0, 0.0, 0.0]))
+        assert so3.Rotation(rs.quats[next_best_view(("A",), identity, tables, rs)]) == only
 
     def test_matches_exhaustive_argmin(self, tables, reachable):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            hyps = [
-                PoseHypothesis("A", so3.random_rotation(rng), 0.9),
-                PoseHypothesis("B", so3.random_rotation(rng), 0.7),
-            ]
-            best = next_best_view(hyps, tables, reachable)
-            vals = [expected_ambiguity(so3.Rotation(reachable.quats[i]), hyps, tables)
+            ids = ("A", "B")
+            quats = hypothesis_rows(so3.random_rotation(rng), so3.random_rotation(rng))
+            best = next_best_view(ids, quats, tables, reachable)
+            vals = [expected_ambiguity(so3.Rotation(reachable.quats[i]), ids, quats, tables)
                     for i in range(len(reachable))]
             i = int(np.argmin(vals))
-            assert best == so3.Rotation(reachable.quats[i])
-            assert expected_ambiguity(best, hyps, tables) == pytest.approx(min(vals), abs=1e-12)
+            assert best == i
+            assert expected_ambiguity(so3.Rotation(reachable.quats[best]), ids, quats,
+                                      tables) == pytest.approx(min(vals), abs=1e-12)
 
     def test_membership(self, tables, reachable):
-        hyp = PoseHypothesis("A", so3.look_at([1.0, 0.0, 0.0]), 1.0)
-        best = next_best_view([hyp], tables, reachable)
-        assert np.any(np.all(reachable.quats == best.q, axis=1))
+        best = next_best_view(("A",), hypothesis_rows(so3.look_at([1.0, 0.0, 0.0])), tables,
+                              reachable)
+        assert best in range(len(reachable))
 
     def test_chosen_views_show_patch(self, pair, tables):
         # With a correct pose hypothesis, the chosen view should expose the
@@ -173,9 +174,8 @@ class TestNextBestView:
         hits = 0
         for _ in range(100):
             pose = so3.random_rotation(rng)
-            hyps = [PoseHypothesis("A", pose, 1.0), PoseHypothesis("B", pose, 1.0)]
-            nbv = next_best_view(hyps, tables, rs)
-            if synthworld.patch_visible(pair, relative(nbv, pose)):
+            nbv = next_best_view(("A", "B"), hypothesis_rows(pose, pose), tables, rs)
+            if synthworld.patch_visible(pair, relative(so3.Rotation(rs.quats[nbv]), pose)):
                 hits += 1
         assert hits >= 95
 

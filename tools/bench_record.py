@@ -1,14 +1,16 @@
 """Record a parent-versus-change performance comparison as one JSON file.
 
     python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_name.json
-        [--pairs 10] [--seconds 10] [--seed 0] [--claim-seed 5]
+        [--pairs 10] [--seconds 10] [--seed 0] [--claim WORKLOAD:METRIC:SEED]
 
 ``DIR`` is a checkout of each commit.  For every workload of
 ``BENCHMARK.json``, ``benchmarks/run.py --trace 0`` runs in both checkouts in
 alternating pairs (the parent first in odd pairs), and each end-to-end
 metric is summarized by its median, quartiles and the pairs the change won
-(ties count for neither).  ``--claim-seed`` repeats the pairs of the first
-claimed workload on a second seed.  The file also records, per checkout, the
+(ties count for neither).  ``--claim`` names a claimed gain, a workload and
+end-to-end metric of ``BENCHMARK.json``, and repeats that workload's pairs on
+its ``SEED``; without it no pair runs on a second seed and the recorded claim
+is ``null``.  The file also records, per checkout, the
 wall time and child peak RSS of ``import viewrank.cli`` and whether it loaded
 scipy, the wall time and child peak RSS of the four CLI commands at the
 default manifest, whether each command's ``hashes.json`` and
@@ -33,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CLAIMED = ("episodes-default", "ops_per_s")
 CLI_COMMANDS = ("rank", "sweep", "simulate", "compare")
 # hashes.json holds the SHA-256 of every other output file.
 IDENTITY_FILES = ("hashes.json", "manifest.resolved.json")
@@ -110,6 +111,20 @@ def summarize(parent_runs, change_runs, spec) -> dict:
     return out
 
 
+def parse_claim(text: str, spec: dict) -> tuple:
+    """``(workload, metric, seed)`` of a ``WORKLOAD:METRIC:SEED`` claim whose
+    workload and end-to-end metric ``spec`` (``BENCHMARK.json``) declares."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected WORKLOAD:METRIC:SEED, got {text!r}")
+    workload, metric, seed = parts
+    if workload not in {w["name"] for w in spec["workloads"]}:
+        raise ValueError(f"unknown workload {workload!r}")
+    if metric not in {m["name"] for m in spec["end_to_end"]}:
+        raise ValueError(f"unknown end-to-end metric {metric!r}")
+    return workload, metric, int(seed)
+
+
 def pairs(trees, workload, n, seconds, seed) -> dict:
     runs = {"parent": [], "change": []}
     for i in range(n):
@@ -181,16 +196,20 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--claim-seed", type=int, default=5)
+    parser.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC:SEED")
     args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        claim = None if args.claim is None else parse_claim(args.claim, spec)
+    except ValueError as e:
+        parser.error(f"--claim: {e}")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {
         "commits": {side: commit(tree) for side, tree in trees.items()},
         "machine": machine(),
         "protocol": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-                     "claim": {"workload": CLAIMED[0], "metric": CLAIMED[1],
-                               "seed": args.claim_seed},
+                     "claim": None if claim is None else dict(
+                         zip(("workload", "metric", "seed"), claim)),
                      "order": "parent first in odd pairs, change first in even pairs"},
         "workloads": {},
     }
@@ -201,9 +220,11 @@ def main(argv=None) -> int:
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
             "metrics": summarize(runs["parent"], runs["change"], spec["end_to_end"]),
         }
-    runs = pairs(trees, CLAIMED[0], args.pairs, args.seconds, args.claim_seed)
-    record["claim_seed_run"] = summarize(runs["parent"], runs["change"], [
-        m for m in spec["end_to_end"] if m["name"] == CLAIMED[1]])
+    if claim is not None:
+        workload, metric, seed = claim
+        runs = pairs(trees, workload, args.pairs, args.seconds, seed)
+        record["claim_seed_run"] = summarize(runs["parent"], runs["change"], [
+            m for m in spec["end_to_end"] if m["name"] == metric])
     record["cli_import"] = {side: import_figures(t) for side, t in trees.items()}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = {side: Path(tmp) / side for side in trees}
